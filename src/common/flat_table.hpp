@@ -68,7 +68,8 @@ class FlatHashMap
     struct Slot
     {
         Key key{};
-        Value value{};
+        /** Takes no space when empty: a FlatHashSet slot is its key. */
+        [[no_unique_address]] Value value{};
     };
 
     static constexpr std::uint8_t kEmpty = 0;

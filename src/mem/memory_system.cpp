@@ -1,6 +1,8 @@
 #include "mem/memory_system.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "common/log.hpp"
 #include "trace/context.hpp"
@@ -42,7 +44,6 @@ scaled(Cache::Params p, unsigned factor, const char *suffix)
 
 SharedMemory::SharedMemory(const MemParams &params, unsigned num_cores)
     : _l3(scaled(params.l3, std::max(1u, num_cores), "")),
-      _shadowL3(scaled(params.l3, std::max(1u, num_cores), ".shadow")),
       _dram(params.dram)
 {
     _dram.setCancelHook([this](Addr line_addr) {
@@ -63,14 +64,21 @@ SharedMemory::registerCore(MemorySystem *core)
     _cores.push_back(core);
 }
 
+Cache &
+SharedMemory::shadowL3()
+{
+    if (!_shadowL3)
+        _shadowL3 =
+            std::make_unique<Cache>(scaled(_l3.params(), 1, ".shadow"));
+    return *_shadowL3;
+}
+
 MemorySystem::MemorySystem(const MemParams &params,
                            std::shared_ptr<SharedMemory> shared)
     : _shared(shared ? std::move(shared)
                      : std::make_shared<SharedMemory>(params, 1)),
       _l1(params.l1),
-      _l2(params.l2),
-      _shadowL1(scaled(params.l1, 1, ".shadow")),
-      _shadowL2(scaled(params.l2, 1, ".shadow"))
+      _l2(params.l2)
 {
     _shared->registerCore(this);
     _compScratch.reserve(32);
@@ -97,9 +105,9 @@ Cache *
 MemorySystem::shadowCache(unsigned level)
 {
     switch (level) {
-      case kL1: return &_shadowL1;
-      case kL2: return &_shadowL2;
-      case kL3: return &_shared->_shadowL3;
+      case kL1: return _shadowL1.get();
+      case kL2: return _shadowL2.get();
+      case kL3: return &_shared->shadowL3();
       default: panic("bad cache level");
     }
 }
@@ -143,32 +151,97 @@ MemorySystem::shadowFill(unsigned level, Addr line, bool dirty)
 }
 
 void
-MemorySystem::shadowWalk(Addr line, Pc pc, bool is_store,
-                         std::array<bool, kNumCacheLevels> &probed,
-                         std::array<bool, kNumCacheLevels> &hit)
+MemorySystem::shadowMissAt(unsigned level, Addr line, Pc pc)
 {
-    for (unsigned lv = 0; lv < kNumCacheLevels; ++lv) {
-        Cache *cache = shadowCache(lv);
-        probed[lv] = true;
+    ++_stats.level[level].shadowMisses;
+    if (_listener)
+        _listener->shadowMiss(level, line, pc);
+}
+
+unsigned
+MemorySystem::shadowWalk(Addr line, Pc pc, bool is_store)
+{
+    if (!_shadowL1) {
+        _shadowL1 =
+            std::make_unique<Cache>(scaled(_l1.params(), 1, ".shadow"));
+        _shadowL2 =
+            std::make_unique<Cache>(scaled(_l2.params(), 1, ".shadow"));
+    }
+    unsigned hit_level = 0;
+    for (; hit_level < kNumCacheLevels; ++hit_level) {
+        Cache *cache = shadowCache(hit_level);
         if (Cache::Line *found = cache->find(line)) {
-            hit[lv] = true;
             cache->touch(*found);
-            if (is_store && lv == kL1)
+            if (is_store && hit_level == kL1)
                 found->dirty = true;
             // Pull the line into the upper shadow levels, as the
             // baseline hierarchy would.
-            for (unsigned up = lv; up-- > 0;)
+            for (unsigned up = hit_level; up-- > 0;)
                 shadowFill(up, line, is_store && up == kL1);
-            return;
+            break;
         }
-        hit[lv] = false;
-        ++_stats.level[lv].shadowMisses;
-        if (_listener)
-            _listener->shadowMiss(lv, line, pc);
+        shadowMissAt(hit_level, line, pc);
     }
-    ++_shared->_shadowDramReads;
-    for (unsigned lv = kNumCacheLevels; lv-- > 0;)
-        shadowFill(lv, line, is_store && lv == kL1);
+    if (hit_level == kNumCacheLevels) {
+        ++_shared->_shadowDramReads;
+        for (unsigned lv = kNumCacheLevels; lv-- > 0;)
+            shadowFill(lv, line, is_store && lv == kL1);
+    }
+    if (_record)
+        _record->append(line, is_store, hit_level);
+    return hit_level;
+}
+
+void
+MemorySystem::replayShadow(const ShadowRecord *record)
+{
+    if (_stats.level[kL1].demandAccesses != 0 ||
+        _shared->_cores.size() != 1)
+        panic("shadow replay needs a fresh single-core hierarchy");
+    _replay = record;
+    _replayNext = 0;
+    _replayDigest = ShadowRecord::kDigestSeed;
+}
+
+unsigned
+MemorySystem::shadowReplay(Addr line, Pc pc, bool is_store)
+{
+    if (_replayNext == _replay->accesses()) {
+        throw std::runtime_error(
+            "shadow replay: demand access " +
+            std::to_string(_replayNext + 1) + " overruns a baseline " +
+            "record of " + std::to_string(_replay->accesses()) +
+            "; the run's demand stream is not the one it recorded");
+    }
+    const unsigned hit_level = _replay->hitLevel(_replayNext++);
+    _replayDigest =
+        ShadowRecord::digestStep(_replayDigest, line, is_store);
+    for (unsigned lv = 0; lv < hit_level; ++lv)
+        shadowMissAt(lv, line, pc);
+    if (hit_level == kNumCacheLevels)
+        ++_shared->_shadowDramReads;
+    return hit_level;
+}
+
+void
+MemorySystem::finishShadowReplay()
+{
+    if (!_replay)
+        return;
+    if (_replayNext != _replay->accesses() ||
+        _replayDigest != _replay->digest()) {
+        throw std::runtime_error(
+            "shadow replay: " + std::to_string(_replayNext) +
+            " demand accesses (digest " + std::to_string(_replayDigest) +
+            ") against a baseline record of " +
+            std::to_string(_replay->accesses()) + " (digest " +
+            std::to_string(_replay->digest()) +
+            "); the run's demand stream is not the one it recorded");
+    }
+    // Shadow writebacks are not part of the per-access record: the
+    // recorded total already counts them.
+    _shared->_shadowDramWrites =
+        _replay->dramLines() - _shared->_shadowDramReads;
 }
 
 void
@@ -251,11 +324,11 @@ MemorySystem::demandAccess(Addr addr, Pc pc, Cycle when, bool is_store)
     Result res{};
     _memClock = std::max(_memClock, when);
 
-    // Baseline walk first: the alternate reality is independent of the
+    // Baseline first: the alternate reality is independent of the
     // prefetcher-perturbed state.
-    std::array<bool, kNumCacheLevels> shadow_probed{};
-    std::array<bool, kNumCacheLevels> shadow_hit{};
-    shadowWalk(line, pc, is_store, shadow_probed, shadow_hit);
+    const unsigned shadow_hit_level = _replay
+                                          ? shadowReplay(line, pc, is_store)
+                                          : shadowWalk(line, pc, is_store);
 
     Cycle now = when;
     for (unsigned lv = 0; lv < kNumCacheLevels; ++lv) {
@@ -340,7 +413,7 @@ MemorySystem::demandAccess(Addr addr, Pc pc, Cycle when, bool is_store)
         if (_listener)
             _listener->demandMiss(lv, line, pc);
 
-        if (shadow_probed[lv] && shadow_hit[lv]) {
+        if (lv == shadow_hit_level) {
             // The baseline would have hit here: this miss is a
             // casualty of prefetching. Split one negative credit among
             // the prefetched lines currently in the set.

@@ -10,6 +10,11 @@
  * supplies the footprint FP for the scope metric, the denominator of
  * effective coverage, and the oracle for prefetch-induced misses
  * (paper sections III and V-C.1).
+ *
+ * Because that stream depends only on the workload, a single-core
+ * hierarchy can replay the outcomes a baseline pass recorded
+ * (shadow_record.hpp) instead of walking the shadow tags; the tag
+ * replicas are allocated on the first live walk only.
  */
 
 #ifndef DOL_MEM_MEMORY_SYSTEM_HPP
@@ -25,6 +30,7 @@
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
 #include "mem/listener.hpp"
+#include "mem/shadow_record.hpp"
 
 namespace dol
 {
@@ -115,7 +121,6 @@ class SharedMemory
     SharedMemory(const MemParams &params, unsigned num_cores = 1);
 
     Cache &l3() { return _l3; }
-    Cache &shadowL3() { return _shadowL3; }
     Dram &dram() { return _dram; }
     const Dram &dram() const { return _dram; }
 
@@ -147,8 +152,11 @@ class SharedMemory
         return _coreShare[core];
     }
 
+    /** The shadow L3, built on the first live shadow walk. */
+    Cache &shadowL3();
+
     Cache _l3;
-    Cache _shadowL3;
+    std::unique_ptr<Cache> _shadowL3;
     Dram _dram;
     std::uint64_t _shadowDramReads = 0;
     std::uint64_t _shadowDramWrites = 0;
@@ -196,6 +204,31 @@ class MemorySystem : public DataPort
 
     void setListener(MemListener *listener) { _listener = listener; }
 
+    /**
+     * Append the live shadow walk's outcome for every demand access to
+     * @p record (borrowed; nullptr stops). The baseline pass records;
+     * the caller closes the record with baselineDramLines().
+     */
+    void recordShadow(ShadowRecord *record) { _record = record; }
+
+    /**
+     * Replay @p record (borrowed) instead of walking the shadow tags:
+     * shadow-miss counts, shadowMiss() callbacks, induced-miss flags
+     * and shadow DRAM reads come out as the live walk would produce
+     * them. Call before the first demand access, on a private
+     * (single-core) hierarchy only — a shared shadow L3 depends on
+     * the interleaving of cores. A demand access past the end of the
+     * record throws std::runtime_error.
+     */
+    void replayShadow(const ShadowRecord *record);
+
+    /**
+     * End a replay: throws std::runtime_error unless this run's demand
+     * stream matched the record access for access (count and digest);
+     * then settles baselineDramLines() to the recorded total.
+     */
+    void finishShadowReplay();
+
     /** Attach the observability event bus (nullptr = tracing off). */
     void setTraceContext(TraceContext *trace) { _trace = trace; }
 
@@ -235,9 +268,12 @@ class MemorySystem : public DataPort
   private:
     Result demandAccess(Addr addr, Pc pc, Cycle when, bool is_store);
 
-    void shadowWalk(Addr line, Pc pc, bool is_store,
-                    std::array<bool, kNumCacheLevels> &probed,
-                    std::array<bool, kNumCacheLevels> &hit);
+    /** Walk the shadow tags; @return the level the baseline hit at,
+     *  kNumCacheLevels for a miss to DRAM. */
+    unsigned shadowWalk(Addr line, Pc pc, bool is_store);
+    /** shadowWalk's result and side effects, read from _replay. */
+    unsigned shadowReplay(Addr line, Pc pc, bool is_store);
+    void shadowMissAt(unsigned level, Addr line, Pc pc);
     void shadowFill(unsigned level, Addr line, bool dirty);
 
     /** Install @p line at @p level; handles eviction/writeback. */
@@ -253,8 +289,14 @@ class MemorySystem : public DataPort
     std::shared_ptr<SharedMemory> _shared;
     Cache _l1;
     Cache _l2;
-    Cache _shadowL1;
-    Cache _shadowL2;
+    /** Shadow replicas, built on the first live shadow walk. */
+    std::unique_ptr<Cache> _shadowL1;
+    std::unique_ptr<Cache> _shadowL2;
+
+    ShadowRecord *_record = nullptr;
+    const ShadowRecord *_replay = nullptr;
+    std::uint64_t _replayNext = 0;
+    std::uint64_t _replayDigest = ShadowRecord::kDigestSeed;
 
     /**
      * Upper bound on what a demand pays when it finds its line in

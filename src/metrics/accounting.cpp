@@ -120,7 +120,7 @@ PrefetchAccounting::scopeInCategory(Fruit fruit) const
 double
 PrefetchAccounting::focusScope() const
 {
-    if (!_haveExclude)
+    if (!_exclude)
         return 0.0;
     std::uint64_t total = 0;
     std::uint64_t covered = 0;
@@ -136,12 +136,12 @@ PrefetchAccounting::focusScope() const
                  : 0.0;
 }
 
-std::shared_ptr<std::unordered_set<Addr>>
+std::shared_ptr<const FlatHashSet<Addr>>
 PrefetchAccounting::takePfp()
 {
-    // Materialise a node-based copy: the exclude-set plumbing between
-    // chained experiments keeps the shared_ptr API.
-    auto out = std::make_shared<std::unordered_set<Addr>>();
+    // One right-sized flat copy: _pfp is pre-sized for 64k lines, and
+    // every sweep cell keeps its RunOutput (and this set) to the end.
+    auto out = std::make_shared<FlatHashSet<Addr>>();
     out->reserve(_pfp.size());
     _pfp.forEach([&](Addr line) { out->insert(line); });
     return out;

@@ -20,7 +20,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
+#include <utility>
 
 #include "common/flat_table.hpp"
 #include "mem/listener.hpp"
@@ -69,17 +69,9 @@ class PrefetchAccounting : public MemListener
      * the region TPC does not cover (Figure 14).
      */
     void
-    setExcludeSet(std::shared_ptr<const std::unordered_set<Addr>> exclude)
+    setExcludeSet(std::shared_ptr<const FlatHashSet<Addr>> exclude)
     {
-        // Copied into a flat probe-once set: inFocus() runs on every
-        // issued prefetch when an exclude set is attached (Fig. 14).
-        _exclude.clear();
-        _haveExclude = exclude != nullptr;
-        if (exclude) {
-            _exclude.reserve(exclude->size());
-            for (const Addr line : *exclude)
-                _exclude.insert(line);
-        }
+        _exclude = std::move(exclude);
     }
 
     // --- MemListener ------------------------------------------------
@@ -113,7 +105,7 @@ class PrefetchAccounting : public MemListener
 
     /** The set of lines this run prefetched (becomes the next
      *  experiment's exclude set). */
-    std::shared_ptr<std::unordered_set<Addr>> takePfp();
+    std::shared_ptr<const FlatHashSet<Addr>> takePfp();
 
     std::uint64_t footprintLines() const { return _fp.size(); }
     std::uint64_t footprintWeight() const { return _fpWeight; }
@@ -122,12 +114,11 @@ class PrefetchAccounting : public MemListener
     bool
     inFocus(Addr line) const
     {
-        return _haveExclude && !_exclude.contains(line);
+        return _exclude && !_exclude->contains(line);
     }
 
     const OfflineStratifier *_stratifier = nullptr;
-    bool _haveExclude = false;
-    FlatHashSet<Addr> _exclude;
+    std::shared_ptr<const FlatHashSet<Addr>> _exclude;
 
     /** Baseline L1 miss footprint with weights. */
     FlatHashMap<Addr, std::uint32_t> _fp;

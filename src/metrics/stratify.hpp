@@ -11,9 +11,9 @@
  *   HHF: everything else
  *
  * Because workload traces are deterministic (seeded generators), the
- * harness feeds a baseline pass of the demand stream through this
- * classifier before the measured run; every prefetch is then labelled
- * by the category of its target line.
+ * harness feeds the demand stream of the baseline pass through this
+ * classifier as that pass runs, before any measured run; every
+ * prefetch is then labelled by the category of its target line.
  */
 
 #ifndef DOL_METRICS_STRATIFY_HPP
@@ -21,9 +21,8 @@
 
 #include <bit>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 
+#include "common/flat_table.hpp"
 #include "common/types.hpp"
 
 namespace dol
@@ -77,16 +76,21 @@ class OfflineStratifier
         if (state.seen && delta == state.delta && delta != 0) {
             if (state.runLength < 0xff)
                 ++state.runLength;
-            if (state.runLength + 1 >= _params.strideRun) {
+            if (state.runLength + 1u >= _params.strideRun) {
                 // The run is canonical: mark the lines it covers.
-                _lhfLines.insert(line);
-                _lhfLines.insert(lineAddr(state.lastAddr));
                 // Strided PCs keep extending their line set; also
                 // pre-mark the forward continuation so prefetches
                 // ahead of the demand stream classify correctly.
-                _lhfLines.insert(lineAddr(
-                    static_cast<Addr>(static_cast<std::int64_t>(addr) +
-                                      delta)));
+                // Short strides name one line several times: insert
+                // each distinct line once.
+                const Addr prev = lineAddr(state.lastAddr);
+                const Addr next = lineAddr(static_cast<Addr>(
+                    static_cast<std::int64_t>(addr) + delta));
+                _lhfLines.insert(line);
+                if (prev != line)
+                    _lhfLines.insert(prev);
+                if (next != line && next != prev)
+                    _lhfLines.insert(next);
             }
         } else {
             state.delta = delta;
@@ -106,10 +110,9 @@ class OfflineStratifier
         const Addr line = lineAddr(line_addr);
         if (_lhfLines.contains(line))
             return Fruit::kLHF;
-        const auto it = _regionLines.find(regionNum(line));
-        if (it != _regionLines.end() &&
-            static_cast<unsigned>(std::popcount(it->second)) >
-                _params.denseLines) {
+        const std::uint16_t *region = _regionLines.find(regionNum(line));
+        if (region && static_cast<unsigned>(std::popcount(*region)) >
+                          _params.denseLines) {
             return Fruit::kMHF;
         }
         return Fruit::kHHF;
@@ -128,9 +131,9 @@ class OfflineStratifier
     };
 
     Params _params{};
-    std::unordered_map<Pc, PcState> _pcs;
-    std::unordered_set<Addr> _lhfLines;
-    std::unordered_map<std::uint64_t, std::uint16_t> _regionLines;
+    FlatHashMap<Pc, PcState> _pcs;
+    FlatHashSet<Addr> _lhfLines;
+    FlatHashMap<std::uint64_t, std::uint16_t> _regionLines;
 };
 
 } // namespace dol

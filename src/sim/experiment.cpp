@@ -1,5 +1,6 @@
 #include "sim/experiment.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <stdexcept>
@@ -30,38 +31,43 @@ ExperimentRunner::computeBaseline(const WorkloadSpec &spec)
 {
     Baseline base;
     base.stratifier = std::make_shared<OfflineStratifier>();
+    auto shadow = std::make_shared<ShadowRecord>();
 
     MemoryImage image;
     auto kernel = spec.factory(image);
 
-    Simulator sim(_config, *kernel, nullptr);
-    Instr instr;
-    // Run the baseline and feed the ground-truth classifier with the
-    // demand stream in the same pass.
-    while (sim.instructions() < _config.maxInstrs) {
-        // Peek by stepping: the stratifier needs pc/addr only, which
-        // step() consumed — so observe through the kernel replay
-        // instead: we re-generate below.
-        if (!sim.step())
+    // One batched pass of Simulator::run with no prefetcher and no
+    // accounting: the core and hierarchy give the baseline IPC, the
+    // live shadow walk is recorded for the measured runs, and the
+    // demand stream feeds the ground-truth classifier on the way.
+    MemorySystem mem(_config.mem);
+    mem.recordShadow(shadow.get());
+    Core core(_config.core);
+    std::array<Instr, 256> batch;
+    std::uint64_t instrs = 0;
+    while (instrs < _config.maxInstrs) {
+        const std::size_t got = kernel->nextBatch(
+            batch.data(), static_cast<std::size_t>(std::min<std::uint64_t>(
+                              _config.maxInstrs - instrs, batch.size())));
+        if (got == 0)
             break;
+        for (std::size_t i = 0; i < got; ++i) {
+            const Instr &instr = batch[i];
+            if (instr.isMem())
+                base.stratifier->observe(instr.pc, instr.addr);
+            core.step(instr, mem);
+        }
+        instrs += got;
     }
-    base.ipc = sim.ipc();
-    base.l1Misses = sim.mem().stats().level[kL1].primaryMisses;
-    base.mpkiL1 =
-        sim.instructions()
-            ? 1000.0 * static_cast<double>(base.l1Misses) /
-                  static_cast<double>(sim.instructions())
-            : 0.0;
+    shadow->close(mem.shared().baselineDramLines());
 
-    // Second pass (identical trace): classify accesses offline.
-    kernel->reset();
-    std::uint64_t seen = 0;
-    while (seen < _config.maxInstrs && kernel->next(instr)) {
-        if (instr.isMem())
-            base.stratifier->observe(instr.pc, instr.addr);
-        ++seen;
-    }
-
+    const Cycle cycles = core.stats().cycles;
+    base.ipc = cycles ? static_cast<double>(instrs) / cycles : 0.0;
+    base.l1Misses = mem.stats().level[kL1].primaryMisses;
+    base.mpkiL1 = instrs ? 1000.0 * static_cast<double>(base.l1Misses) /
+                               static_cast<double>(instrs)
+                         : 0.0;
+    base.shadow = std::move(shadow);
     return base;
 }
 
@@ -127,6 +133,8 @@ ExperimentRunner::run(const WorkloadSpec &spec,
 
     Simulator sim(_config, *kernel, prefetcher.get());
     sim.setStratifier(base.stratifier.get());
+    if (base.shadow)
+        sim.mem().replayShadow(base.shadow.get());
     if (options.adaptiveCoordinator) {
         // Feed the degree schedule's pressure signal from the shared
         // DRAM controller. The probe only fires inside sim.run(), so
@@ -169,6 +177,7 @@ ExperimentRunner::run(const WorkloadSpec &spec,
         sim.setTraceContext(&trace_ctx);
 
     sim.run(_cancel);
+    sim.mem().finishShadowReplay();
 
     RunOutput out;
     if (counting) {

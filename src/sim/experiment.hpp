@@ -4,8 +4,10 @@
  * every metric the paper reports — speedup over the no-prefetch
  * baseline, scope, effective accuracy and coverage at L1 and L2,
  * normalized memory traffic, per-category (LHF/MHF/HHF) accuracy, and
- * per-component breakdowns. Baselines and stratifiers are computed
- * once per workload and cached.
+ * per-component breakdowns. Each workload's baseline is simulated once,
+ * in one pass that also feeds the stratifier and records the shadow
+ * hierarchy's outcome per demand access; measured runs replay that
+ * record instead of walking the shadow tags.
  */
 
 #ifndef DOL_SIM_EXPERIMENT_HPP
@@ -18,10 +20,11 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/cancel.hpp"
+#include "common/flat_table.hpp"
+#include "mem/shadow_record.hpp"
 #include "metrics/accounting.hpp"
 #include "metrics/stratify.hpp"
 #include "sim/simulator.hpp"
@@ -86,7 +89,7 @@ struct RunOutput
     double focusScope = 0.0;
 
     /** Lines this run prefetched (input to Figure 14's exclusion). */
-    std::shared_ptr<std::unordered_set<Addr>> pfp;
+    std::shared_ptr<const FlatHashSet<Addr>> pfp;
 
     /** End-of-run counter snapshot, populated when the run collected
      *  counters (RunOptions::collectCounters or a trace path). */
@@ -105,7 +108,7 @@ struct RunOptions
     /** Oracle-stratified destination: LHF to L1, rest to L2. */
     bool oracleDest = false;
     /** Exclude set for focus-region accounting (Figure 14). */
-    std::shared_ptr<const std::unordered_set<Addr>> exclude;
+    std::shared_ptr<const FlatHashSet<Addr>> exclude;
 
     /** Write this run's binary event trace here (empty = no trace). */
     std::string tracePath;
@@ -146,6 +149,9 @@ class ExperimentRunner
         double mpkiL1 = 0.0;
         std::uint64_t l1Misses = 0;
         std::shared_ptr<OfflineStratifier> stratifier;
+        /** Shadow outcome of every demand access, replayed by the
+         *  measured runs (null: they walk the shadow tags live). */
+        std::shared_ptr<const ShadowRecord> shadow;
     };
 
     /** Baseline run (cached per workload): IPC + ground truth. */

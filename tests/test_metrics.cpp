@@ -84,7 +84,7 @@ TEST(Accounting, EffectiveAccuracyGoesNegativeWithPollution)
 
 TEST(Accounting, ExcludeSetConfinesFocusCounters)
 {
-    auto exclude = std::make_shared<std::unordered_set<Addr>>();
+    auto exclude = std::make_shared<FlatHashSet<Addr>>();
     exclude->insert(0x1000);
 
     PrefetchAccounting acct;
