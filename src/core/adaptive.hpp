@@ -9,8 +9,8 @@
  * hardwired structure but closes three feedback loops over it:
  *
  *  1. Per-slot effective-accuracy and coverage EWMAs, accumulated in
- *     fixed windows of demand accesses from the same issued/used
- *     signals the throttle bookkeeping already tracks.
+ *     fixed windows of demand accesses from each slot's issued
+ *     prefetches and the demand hits on its prefetched lines.
  *  2. A slow-start degree schedule for every bound extra: the emission
  *     budget starts at 1 per training call, doubles while the accuracy
  *     EWMA stays above a threshold, and halves on inaccuracy or on

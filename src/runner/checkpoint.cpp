@@ -73,7 +73,9 @@ cursorOver(const std::string &payload)
         payload.size()};
 }
 
-} // namespace
+// Payload codecs. Decoders return false on a payload that is short,
+// malformed, or longer than its record type (e.g. a record whose type
+// byte was damaged) and leave @p out unspecified.
 
 std::string
 encodePlanPayload(const JournalPlan &plan)
@@ -100,20 +102,6 @@ encodeJobDonePayload(const JournalJobDone &job)
     return payload;
 }
 
-std::string
-encodeCellFailedPayload(const JournalCellFailed &failed)
-{
-    std::string payload;
-    wire::putU64(payload, failed.jobIndex);
-    wire::putString(payload, failed.cell.label);
-    wire::putString(payload, failed.cell.variant);
-    wire::putU64(payload, failed.cell.seed);
-    wire::putU64(payload, failed.cell.attempts);
-    wire::putString(payload, failed.cell.kind);
-    wire::putString(payload, failed.cell.error);
-    return payload;
-}
-
 bool
 decodePlanPayload(const std::string &payload, JournalPlan &out)
 {
@@ -121,7 +109,7 @@ decodePlanPayload(const std::string &payload, JournalPlan &out)
     out.itemCount = in.u64();
     out.gridHash = in.u64();
     out.maxInstrs = in.u64();
-    return in.ok;
+    return in.done();
 }
 
 bool
@@ -137,31 +125,18 @@ decodeJobDonePayload(const std::string &payload, JournalJobDone &out)
     const std::uint32_t rows = in.u32();
     for (std::uint32_t i = 0; i < rows && in.ok; ++i)
         out.rows.push_back(readRow(in));
-    return in.ok;
+    return in.done();
 }
 
 bool
-decodeCellFailedPayload(const std::string &payload,
-                        JournalCellFailed &out)
-{
-    wire::Cursor in = cursorOver(payload);
-    out.jobIndex = in.u64();
-    out.cell.label = in.str();
-    out.cell.variant = in.str();
-    out.cell.seed = in.u64();
-    out.cell.attempts = static_cast<unsigned>(in.u64());
-    out.cell.kind = in.str();
-    out.cell.error = in.str();
-    return in.ok;
-}
-
-bool
-decodeJobIndex(const std::string &payload, std::uint64_t &out)
+decodeCaseIndex(const std::string &payload, std::uint64_t &out)
 {
     wire::Cursor in = cursorOver(payload);
     out = in.u64();
-    return in.ok;
+    return in.done();
 }
+
+} // namespace
 
 bool
 CheckpointJournal::create(const std::string &path,
@@ -202,14 +177,6 @@ CheckpointJournal::appendCaseDone(std::uint64_t case_index)
     wire::putU64(payload, case_index);
     return _file.appendRecord(
         static_cast<std::uint8_t>(JournalRecord::kCaseDone), payload);
-}
-
-bool
-CheckpointJournal::appendCellFailed(const JournalCellFailed &record)
-{
-    return _file.appendRecord(
-        static_cast<std::uint8_t>(JournalRecord::kCellFailed),
-        encodeCellFailedPayload(record));
 }
 
 CheckpointJournal::Load
@@ -255,16 +222,9 @@ CheckpointJournal::load(const std::string &path)
         }
         case JournalRecord::kCaseDone: {
             std::uint64_t index = 0;
-            parsed = decodeJobIndex(rec.payload, index);
+            parsed = decodeCaseIndex(rec.payload, index);
             if (parsed)
                 out.cases.push_back(index);
-            break;
-        }
-        case JournalRecord::kCellFailed: {
-            JournalCellFailed failed;
-            parsed = decodeCellFailedPayload(rec.payload, failed);
-            if (parsed)
-                out.failedCells.push_back(std::move(failed));
             break;
         }
         default:

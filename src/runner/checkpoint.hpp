@@ -3,10 +3,10 @@
  * Crash-safe checkpoint journal for sweeps and fuzz campaigns.
  *
  * The journal is an append-only binary file ("DOLCKPT1" magic) of
- * length-prefixed, FNV-1a-checksummed records (framing shared with
- * the DOLLEAS1 lease ledger — see runner/framed_file.hpp), fsync'd
- * after every append, so at any kill point — SIGKILL included — the
- * file holds a prefix of whole records plus at most one torn tail.
+ * length-prefixed, FNV-1a-checksummed records (framing in
+ * runner/framed_file.hpp), fsync'd after every append, so at any kill
+ * point — SIGKILL included — the file holds a prefix of whole records
+ * plus at most one torn tail.
  * The loader stops at the first short or checksum-failing record,
  * reports how many clean bytes precede it, and a resuming writer
  * truncates the tail away before appending.
@@ -26,29 +26,17 @@
  *               cases are deliberately not journaled: a resumed
  *               campaign re-runs them, regenerating the identical
  *               diff and reproducer files.
- *   kCellFailed one quarantined cell (opt-in via
- *               SweepOptions::journalFailures; fleet workers set it).
- *               A resuming sweep re-runs these cells — the record
- *               exists so a fleet coordinator can count the cell as
- *               covered and the merger can surface it in the merged
- *               document's failed_cells section instead of silently
- *               dropping a foreign journal's losses.
  *
- * In-flight work is never journaled and re-runs on resume; the
- * journal never has to encode an exception mid-flight.
- *
- * Two read paths exist: CheckpointJournal::load() materializes every
- * record (convenient for small journals), and CheckpointReader
- * streams records one at a time with their file offsets — the fleet
- * merger uses it to index 10k-cell journals and re-read individual
- * rows without ever holding a whole journal in memory.
+ * Quarantined cells and in-flight work are never journaled and re-run
+ * on resume; the journal never has to encode an exception mid-flight.
+ * Record types the loader does not know (type 4 was a quarantined-cell
+ * record in older journals) are skipped, not treated as a torn tail.
  */
 
 #ifndef DOL_RUNNER_CHECKPOINT_HPP
 #define DOL_RUNNER_CHECKPOINT_HPP
 
 #include <cstdint>
-#include <cstdio>
 #include <optional>
 #include <string>
 #include <vector>
@@ -68,7 +56,6 @@ enum class JournalRecord : std::uint8_t
     kPlan = 1,
     kJobDone = 2,
     kCaseDone = 3,
-    kCellFailed = 4,
 };
 
 /** Identity of the sweep/campaign a journal belongs to. */
@@ -101,28 +88,6 @@ struct JournalJobDone
     std::vector<MetricsRow> rows;
 };
 
-/** One quarantined cell (journalFailures mode). */
-struct JournalCellFailed
-{
-    std::uint64_t jobIndex = 0;
-    FailedCell cell;
-};
-
-// Payload codecs, shared by the journal writer, load(), and the
-// fleet merger's two-pass streaming reads. Decoders return false on
-// a short or malformed payload and leave @p out unspecified.
-std::string encodePlanPayload(const JournalPlan &plan);
-std::string encodeJobDonePayload(const JournalJobDone &job);
-std::string encodeCellFailedPayload(const JournalCellFailed &failed);
-bool decodePlanPayload(const std::string &payload, JournalPlan &out);
-bool decodeJobDonePayload(const std::string &payload,
-                          JournalJobDone &out);
-bool decodeCellFailedPayload(const std::string &payload,
-                             JournalCellFailed &out);
-/** Decode just the leading jobIndex of a kJobDone/kCellFailed
- *  payload — the cheap index pass of a streaming merge. */
-bool decodeJobIndex(const std::string &payload, std::uint64_t &out);
-
 class CheckpointJournal
 {
   public:
@@ -149,9 +114,6 @@ class CheckpointJournal
     /** Append + fsync one passing campaign case. Thread-safe. */
     bool appendCaseDone(std::uint64_t case_index);
 
-    /** Append + fsync one quarantined cell. Thread-safe. */
-    bool appendCellFailed(const JournalCellFailed &record);
-
     bool isOpen() const { return _file.isOpen(); }
     void close() { _file.close(); }
 
@@ -167,7 +129,6 @@ class CheckpointJournal
         std::optional<JournalPlan> plan;
         std::vector<JournalJobDone> jobs;
         std::vector<std::uint64_t> cases;
-        std::vector<JournalCellFailed> failedCells;
         std::string error;
     };
 
@@ -180,34 +141,6 @@ class CheckpointJournal
 
   private:
     FramedWriter _file;
-};
-
-/**
- * Streaming DOLCKPT1 reader: FramedReader pinned to the checkpoint
- * magic. Iterate with next(); a record's offset can be revisited
- * later with seek() — the cross-journal merge reads each journal
- * once to index it, then seeks back to the winning record per cell,
- * so peak memory stays one decoded row regardless of journal size.
- */
-class CheckpointReader
-{
-  public:
-    bool
-    open(const std::string &path)
-    {
-        return _reader.open(path, kCheckpointMagic);
-    }
-
-    bool next(FramedReader::Record &out) { return _reader.next(out); }
-    bool seek(std::uint64_t offset) { return _reader.seek(offset); }
-
-    bool fileExists() const { return _reader.fileExists(); }
-    bool valid() const { return _reader.valid(); }
-    bool tornTail() const { return _reader.tornTail(); }
-    std::uint64_t goodBytes() const { return _reader.goodBytes(); }
-
-  private:
-    FramedReader _reader;
 };
 
 } // namespace dol::runner

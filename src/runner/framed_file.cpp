@@ -3,6 +3,7 @@
 #include <cstring>
 #include <filesystem>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "runner/wire.hpp"
@@ -103,6 +104,7 @@ FramedReader::open(const std::string &path, const char (&magic)[8])
     _fileExists = false;
     _valid = false;
     _tornTail = false;
+    _size = 0;
     _pos = 0;
     _goodBytes = 0;
 
@@ -110,6 +112,9 @@ FramedReader::open(const std::string &path, const char (&magic)[8])
     if (!_file)
         return false;
     _fileExists = true;
+    struct stat st;
+    if (fstat(fileno(_file), &st) == 0)
+        _size = static_cast<std::uint64_t>(st.st_size);
 
     char header[kFrameMagicBytes];
     if (std::fread(header, 1, sizeof header, _file) != sizeof header ||
@@ -142,6 +147,11 @@ FramedReader::next(Record &out)
     wire::Cursor env{envelope + 1, sizeof envelope - 1};
     const std::uint32_t length = env.u32();
     const std::uint64_t checksum = env.u64();
+    // Bound the allocation by what the file can supply.
+    if (_pos + kFrameEnvelopeBytes + length > _size) {
+        _tornTail = true;
+        return false;
+    }
 
     std::string payload(length, '\0');
     if (length > 0 &&
@@ -158,22 +168,7 @@ FramedReader::next(Record &out)
     out.payload = std::move(payload);
     out.offset = _pos;
     _pos += kFrameEnvelopeBytes + length;
-    // goodBytes only ever grows: a seek back and re-read must not
-    // shrink the clean prefix a resuming writer will keep.
-    if (_pos > _goodBytes)
-        _goodBytes = _pos;
-    return true;
-}
-
-bool
-FramedReader::seek(std::uint64_t offset)
-{
-    if (!_file)
-        return false;
-    if (std::fseek(_file, static_cast<long>(offset), SEEK_SET) != 0)
-        return false;
-    _pos = offset;
-    _tornTail = false;
+    _goodBytes = _pos;
     return true;
 }
 

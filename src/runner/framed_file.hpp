@@ -1,8 +1,7 @@
 /**
  * @file
- * Append-only framed record files: the one durable container format
- * behind both DOLCKPT1 checkpoint journals and DOLLEAS1 lease
- * ledgers.
+ * Append-only framed record files: the durable container format
+ * behind DOLCKPT1 checkpoint journals.
  *
  * Layout: an 8-byte magic, then records of
  *
@@ -11,10 +10,9 @@
  * all integers little-endian. The writer fsyncs after every append,
  * so at any kill point — SIGKILL included — the file holds a prefix
  * of whole records plus at most one torn tail. The reader streams
- * records one at a time (it never materializes the whole file) and
- * stops at the first short or checksum-failing record, reporting how
- * many clean bytes precede it; a resuming writer truncates the tail
- * away before appending.
+ * records one at a time and stops at the first short, oversized or
+ * checksum-failing record, reporting how many clean bytes precede it;
+ * a resuming writer truncates the tail away before appending.
  */
 
 #ifndef DOL_RUNNER_FRAMED_FILE_HPP
@@ -71,9 +69,7 @@ class FramedWriter
 
 /**
  * Streaming reader: records come back one at a time in file order,
- * with their byte offset, so callers can index large journals and
- * revisit individual records with seek() instead of holding every
- * decoded payload in memory.
+ * with their byte offset.
  */
 class FramedReader
 {
@@ -102,12 +98,11 @@ class FramedReader
     /**
      * Read the next intact record. False at clean end-of-file or at
      * a torn/corrupt tail (distinguish with tornTail()); never
-     * throws and never blocks on malformed input.
+     * throws and never blocks on malformed input. A length field
+     * claiming more bytes than the file had at open() is a torn tail:
+     * the reader never allocates more than the file could supply.
      */
     bool next(Record &out);
-
-    /** Re-position to a record offset previously returned by next(). */
-    bool seek(std::uint64_t offset);
 
     bool fileExists() const { return _fileExists; }
     /** Magic matched; false means not this format at all. */
@@ -125,6 +120,7 @@ class FramedReader
     bool _fileExists = false;
     bool _valid = false;
     bool _tornTail = false;
+    std::uint64_t _size = 0; ///< file size at open()
     std::uint64_t _pos = 0;
     std::uint64_t _goodBytes = 0;
 };

@@ -131,6 +131,10 @@ ResultStore::toCsv() const
     return out;
 }
 
+namespace
+{
+
+/** One row as its dol-sweep-v1 "results" array element. */
 void
 writeMetricsRowJson(JsonWriter &json, const MetricsRow &row)
 {
@@ -175,6 +179,8 @@ writeFailedCellJson(JsonWriter &json, const FailedCell &cell)
     json.field("error", cell.error);
     json.endObject();
 }
+
+} // namespace
 
 std::string
 ResultStore::resultsJson() const

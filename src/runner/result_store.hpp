@@ -25,8 +25,6 @@
 namespace dol::runner
 {
 
-class JsonWriter;
-
 /** One flattened (workload, prefetcher, config) metric row. */
 struct MetricsRow
 {
@@ -61,14 +59,6 @@ MetricsRow makeMetricsRow(const RunOutput &out,
                           std::uint64_t seed);
 
 /**
- * Serialize one row as its dol-sweep-v1 "results" array element.
- * ResultStore::toJson() and the streaming fleet merger both emit rows
- * through this exact function, which is what makes a merged document
- * byte-identical to a single-process one.
- */
-void writeMetricsRowJson(JsonWriter &json, const MetricsRow &row);
-
-/**
  * A cell that exhausted its retry budget. The sweep completes around
  * it; the document records the loss explicitly instead of aborting.
  */
@@ -84,11 +74,6 @@ struct FailedCell
     /** what() of the last attempt's exception. */
     std::string error;
 };
-
-/** Serialize one cell as its "failed_cells" array element (shared
- *  with the fleet merger for the same byte-identity reason as
- *  writeMetricsRowJson). */
-void writeFailedCellJson(JsonWriter &json, const FailedCell &cell);
 
 /** Sweep-level metadata serialized into the JSON header. */
 struct SweepMeta

@@ -35,25 +35,6 @@ cellSeed(std::string_view workload, std::string_view prefetcher,
     return hash;
 }
 
-std::vector<std::pair<std::uint64_t, std::uint64_t>>
-partitionRange(std::uint64_t count, unsigned parts)
-{
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
-    if (count == 0 || parts == 0)
-        return ranges;
-    const std::uint64_t n = parts < count ? parts : count;
-    // First (count % n) ranges take one extra cell.
-    const std::uint64_t base = count / n;
-    const std::uint64_t extra = count % n;
-    std::uint64_t begin = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const std::uint64_t size = base + (i < extra ? 1 : 0);
-        ranges.emplace_back(begin, begin + size);
-        begin += size;
-    }
-    return ranges;
-}
-
 SweepRunner::SweepRunner(const SimConfig &base, SweepOptions options)
     : _base(base), _options(std::move(options))
 {}
@@ -182,20 +163,13 @@ injectFault(FaultPlan::Kind kind, std::size_t job_index,
 
 } // namespace
 
-JournalPlan
-SweepRunner::plan() const
+SweepRunner::Report
+SweepRunner::run()
 {
     JournalPlan plan;
     plan.itemCount = _pending.size();
     plan.gridHash = gridHash(_pending);
     plan.maxInstrs = _base.maxInstrs;
-    return plan;
-}
-
-SweepRunner::Report
-SweepRunner::run()
-{
-    const JournalPlan plan = this->plan();
     std::vector<PendingJob> jobs;
     jobs.swap(_pending);
 
@@ -209,8 +183,6 @@ SweepRunner::run()
         kDone,    ///< executed this run
         kResumed, ///< merged from the checkpoint journal
         kFailed,  ///< retry budget exhausted (quarantined)
-        kForeign, ///< outside [rangeBegin, rangeEnd): another
-                  ///< worker's cells, skipped without "interrupted"
     };
     std::vector<std::uint8_t> state(jobs.size(), kPending);
 
@@ -254,14 +226,6 @@ SweepRunner::run()
                                      error);
     }
 
-    const std::uint64_t range_end =
-        _options.rangeEnd ? _options.rangeEnd : jobs.size();
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (state[i] == kPending &&
-            (i < _options.rangeBegin || i >= range_end))
-            state[i] = kForeign;
-    }
-
     const auto cache = std::make_shared<BaselineCache>();
     ProgressMeter meter(jobs.size(), _options.progress);
 
@@ -271,7 +235,7 @@ SweepRunner::run()
     std::vector<std::exception_ptr> errors(jobs.size());
 
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (state[i] == kResumed || state[i] == kForeign)
+        if (state[i] == kResumed)
             meter.onJobSkipped(jobs[i].label);
     }
 
@@ -367,12 +331,6 @@ SweepRunner::run()
             cell.attempts = attempts;
             cell.kind = last_kind;
             cell.error = last_error;
-            if (journal.isOpen() && _options.journalFailures) {
-                JournalCellFailed rec;
-                rec.jobIndex = i;
-                rec.cell = cell;
-                journal.appendCellFailed(rec);
-            }
             failed[i] = std::move(cell);
             meter.onJobDone(job.label + " [failed]", per_job_ms[i]);
         } else {
@@ -385,7 +343,7 @@ SweepRunner::run()
     {
         ThreadPool pool(workerCount());
         for (std::size_t i = 0; i < jobs.size(); ++i) {
-            if (state[i] == kResumed || state[i] == kForeign)
+            if (state[i] == kResumed)
                 continue;
             futures.push_back(pool.submit([&supervise, i] {
                 supervise(i);
@@ -433,10 +391,6 @@ SweepRunner::run()
             break;
         case kFailed:
             report.meta.failedCells.push_back(std::move(failed[i]));
-            break;
-        case kForeign:
-            // Another lease's cells: absent from this worker's
-            // report by design, not an interruption.
             break;
         default:
             report.interrupted = true;

@@ -59,16 +59,6 @@ std::uint64_t cellSeed(std::string_view workload,
                        std::string_view prefetcher,
                        std::string_view variant = "");
 
-/**
- * Split @p count cells into at most @p parts contiguous, non-empty,
- * balanced [begin, end) ranges that exactly cover [0, count) in
- * order. Fewer than @p parts ranges come back when count < parts;
- * count == 0 yields no ranges. The fleet coordinator leases these
- * ranges to workers.
- */
-std::vector<std::pair<std::uint64_t, std::uint64_t>>
-partitionRange(std::uint64_t count, unsigned parts);
-
 struct SweepOptions
 {
     /** Worker threads; 0 = hardware concurrency. */
@@ -107,22 +97,6 @@ struct SweepOptions
 
     /** Deterministic fault injection (tests); nullptr = none. */
     const FaultPlan *faultPlan = nullptr;
-
-    /** Execute only jobs [rangeBegin, rangeEnd) of the queued grid —
-     *  a fleet worker's lease. Jobs outside the range are skipped
-     *  without marking the sweep interrupted, and the journal plan
-     *  still describes the full grid, so every worker's journal
-     *  shares one identity and their records merge by job index.
-     *  rangeEnd = 0 means "to the end of the grid". */
-    std::uint64_t rangeBegin = 0;
-    std::uint64_t rangeEnd = 0;
-
-    /** Also journal quarantined cells (kCellFailed records). Fleet
-     *  workers set this so the coordinator counts a failed cell as
-     *  covered — instead of endlessly re-leasing it — and the merger
-     *  surfaces it in the merged document's failed_cells. Only
-     *  meaningful with a checkpointPath and onError::kQuarantine. */
-    bool journalFailures = false;
 };
 
 /**
@@ -201,12 +175,6 @@ class SweepRunner
     Report run();
 
     std::size_t pendingJobs() const { return _pending.size(); }
-
-    /** Journal identity of the currently queued grid — exactly what
-     *  run() writes as the kPlan record. The fleet coordinator pins
-     *  this into the lease ledger; every worker rebuilds the grid
-     *  from the same arguments and refuses a mismatching ledger. */
-    JournalPlan plan() const;
 
     /** Resolved worker count (options.jobs or hw concurrency). */
     unsigned workerCount() const;

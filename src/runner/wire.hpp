@@ -1,11 +1,11 @@
 /**
  * @file
- * Little-endian wire encoding shared by the durable on-disk formats
- * (DOLCKPT1 checkpoint journals, DOLLEAS1 lease ledgers).
+ * Little-endian wire encoding of the durable DOLCKPT1 checkpoint
+ * journal (record envelopes and payloads).
  *
  * Every integer is serialized little-endian byte by byte, independent
  * of host order, and doubles travel bit-exact through u64 so no text
- * round trip can perturb a resumed or merged value. The Cursor is a
+ * round trip can perturb a resumed value. The Cursor is a
  * bounds-checked reader: any shortfall flips `ok` and every later
  * read returns zero, so record decoders can run a straight-line
  * sequence of reads and check `ok` once at the end.
@@ -89,6 +89,9 @@ struct Cursor
     }
 
     double f64() { return std::bit_cast<double>(u64()); }
+
+    /** Every read succeeded and consumed the payload exactly. */
+    bool done() const { return ok && pos == size; }
 
     std::string
     str()

@@ -221,7 +221,7 @@ TraceReader::open(const std::string &path)
         return false;
     }
     if (std::memcmp(header, kTraceMagic, sizeof kTraceMagic) != 0) {
-        _error = "bad trace magic (not a dol trace file)";
+        _error = "bad trace magic: not a DOLTRC01 event trace";
         return false;
     }
     if (const std::uint32_t version = getU32(header + 8);

@@ -1,8 +1,10 @@
 #include "workloads/trace_file.hpp"
 
 #include <cstring>
+#include <filesystem>
 
 #include "common/log.hpp"
+#include "trace/trace_io.hpp"
 
 namespace dol
 {
@@ -99,32 +101,46 @@ readTraceRecords(const std::string &path, std::vector<TraceRecord> &out,
                  std::string *error)
 {
     out.clear();
-    std::FILE *file = std::fopen(path.c_str(), "rb");
-    if (!file) {
+    const auto failWith = [&](const std::string &message) {
+        out.clear();
         if (error)
-            *error = "cannot open trace file: " + path;
+            *error = message;
         return false;
-    }
+    };
+    std::FILE *file = std::fopen(path.c_str(), "rb");
+    if (!file)
+        return failWith("cannot open trace file: " + path);
+
     TraceHeader header;
     const TraceHeader expected;
-    if (std::fread(&header, sizeof header, 1, file) != 1 ||
+    const bool header_ok =
+        std::fread(&header, sizeof header, 1, file) == 1;
+    if (!header_ok ||
         std::memcmp(header.magic, expected.magic,
                     sizeof header.magic) != 0) {
         std::fclose(file);
-        if (error)
-            *error = "not a dol trace file: " + path;
-        return false;
+        if (header_ok && std::memcmp(header.magic, kTraceMagic,
+                                     sizeof kTraceMagic) == 0)
+            return failWith(path + " is a DOLTRC01 event trace, not a "
+                                   "DOLINS01 instruction trace (read it "
+                                   "with --dump-trace)");
+        return failWith("not a DOLINS01 instruction trace: " + path);
+    }
+    // Bound the count by the file size before allocating for it.
+    std::error_code ec;
+    const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
+    const std::uint64_t fits =
+        ec ? 0 : (bytes - sizeof header) / sizeof(TraceRecord);
+    if (header.instructionCount > fits) {
+        std::fclose(file);
+        return failWith("truncated trace file: " + path);
     }
     out.resize(header.instructionCount);
     const std::size_t read = std::fread(out.data(), sizeof(TraceRecord),
                                         out.size(), file);
     std::fclose(file);
-    if (read != out.size()) {
-        if (error)
-            *error = "truncated trace file: " + path;
-        out.clear();
-        return false;
-    }
+    if (read != out.size())
+        return failWith("truncated trace file: " + path);
     return true;
 }
 
@@ -132,25 +148,9 @@ TraceKernel::TraceKernel(MemoryImage &memory, const std::string &path,
                          bool loop)
     : Kernel("trace:" + path, memory), _loop(loop)
 {
-    std::FILE *file = std::fopen(path.c_str(), "rb");
-    if (!file)
-        fatal("cannot open trace file: " + path);
-
-    TraceHeader header;
-    const TraceHeader expected;
-    if (std::fread(&header, sizeof header, 1, file) != 1 ||
-        std::memcmp(header.magic, expected.magic,
-                    sizeof header.magic) != 0) {
-        std::fclose(file);
-        fatal("not a dol trace file: " + path);
-    }
-
-    _records.resize(header.instructionCount);
-    const std::size_t read = std::fread(
-        _records.data(), sizeof(TraceRecord), _records.size(), file);
-    std::fclose(file);
-    if (read != _records.size())
-        fatal("truncated trace file: " + path);
+    std::string error;
+    if (!readTraceRecords(path, _records, &error))
+        fatal(error);
 }
 
 void

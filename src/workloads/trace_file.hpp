@@ -43,10 +43,14 @@ struct TraceRecord
 
 static_assert(sizeof(TraceRecord) == 40, "stable on-disk layout");
 
-/** Magic + version header guarding against format drift. */
+/**
+ * Magic + version header guarding against format drift. "DOLINS01"
+ * is distinct from the DOLTRC01 event traces (trace/trace_io.hpp) and
+ * the DOLCKPT1 journals, so no reader accepts another format's file.
+ */
 struct TraceHeader
 {
-    char magic[8] = {'D', 'O', 'L', 'T', 'R', 'C', '0', '1'};
+    char magic[8] = {'D', 'O', 'L', 'I', 'N', 'S', '0', '1'};
     std::uint64_t instructionCount = 0;
 };
 
@@ -60,15 +64,17 @@ std::uint64_t recordTrace(Kernel &kernel, const std::string &path,
                           std::uint64_t max_instrs);
 
 /**
- * Write @p records to @p path in the DOLTRC01 trace format (the
- * shrinker's reproducer output). @return false on I/O error.
+ * Write @p records to @p path in the DOLINS01 instruction-trace format
+ * (the shrinker's reproducer output). @return false on I/O error.
  */
 bool writeTraceRecords(const std::string &path,
                        const std::vector<TraceRecord> &records);
 
 /**
- * Read every record of a DOLTRC01 trace file.
- * @return false (with @p error set) on I/O or format problems.
+ * Read every record of a DOLINS01 instruction-trace file.
+ * @return false (with @p error set) on I/O or format problems,
+ * including another format's file and a header that claims more
+ * records than the file holds.
  */
 bool readTraceRecords(const std::string &path,
                       std::vector<TraceRecord> &out,

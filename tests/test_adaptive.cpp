@@ -16,8 +16,10 @@
 
 #include "core/adaptive.hpp"
 #include "core/composite.hpp"
+#include "common/rng.hpp"
 #include "core/registry.hpp"
 #include "mem/memory_image.hpp"
+#include "mem/memory_system.hpp"
 #include "prefetch/next_line.hpp"
 #include "runner/cli.hpp"
 #include "sim/experiment.hpp"
@@ -226,6 +228,65 @@ TEST(AdaptiveEmitter, ZeroBudgetThrottlesInsteadOfEmitting)
     const std::string text = registry.toText();
     EXPECT_NE(text.find("adapt.windows"), std::string::npos);
     EXPECT_GT(sim.emitter().throttledCount(), 0u);
+}
+
+/**
+ * Prefetches issued by a composite's single NextLine(4) extra over
+ * random, never-reused accesses from one unclaimed instruction:
+ * @p warmup accesses first, then the count over @p measured more.
+ */
+std::uint64_t
+inaccurateExtraIssues(bool adaptive, int warmup, int measured)
+{
+    MemoryImage image;
+    MemorySystem mem;
+    PrefetchEmitter emitter(mem);
+    CompositePrefetcher::Config config;
+    config.adaptive = adaptive;
+    CompositePrefetcher tpc(&image, config);
+    tpc.addComponent(std::make_unique<NextLinePrefetcher>(4));
+    ComponentId next = 1;
+    tpc.assignIds([&](const std::string &) { return next++; });
+
+    Rng rng(23);
+    Cycle now = 0;
+    std::uint64_t before = 0;
+    for (int i = 0; i < warmup + measured; ++i) {
+        if (i == warmup)
+            before = mem.stats().comp[4].issued;
+        AccessInfo info;
+        info.pc = 0x100;
+        info.mPc = 0x100;
+        info.addr = 0x10000000 + lineAddr(rng.below(1ull << 28));
+        info.isLoad = true;
+        info.l1PrimaryMiss = true;
+        info.when = now += 50;
+        emitter.setContext(tpc.id(), info.when);
+        tpc.train(info, emitter);
+    }
+    if (adaptive) {
+        // Never useful, so the degree schedule never ramps it.
+        EXPECT_EQ(tpc.adaptive()->degree(
+                      AdaptiveCoordinator::kFirstExtraSlot),
+                  1u);
+    }
+    return mem.stats().comp[4].issued - before;
+}
+
+TEST(AdaptiveCoordinator, HoldsAnInaccurateExtraAtTheFloorDegree)
+{
+    // The hardwired coordinator lets a useless extra issue its full
+    // degree on every access; the adaptive one caps it at one
+    // prefetch per access once its accuracy verdicts come in.
+    const int warmup = 4000;
+    const int measured = 500;
+    const std::uint64_t hardwired =
+        inaccurateExtraIssues(false, warmup, measured);
+    const std::uint64_t adaptive =
+        inaccurateExtraIssues(true, warmup, measured);
+    EXPECT_GE(hardwired, 3u * measured);
+    EXPECT_LE(adaptive, static_cast<std::uint64_t>(measured));
+    EXPECT_GT(adaptive, 0u) << "held at degree 1, not suspended";
 }
 
 /** The five composite golden cells (the SPP cell has no coordinator,

@@ -10,13 +10,17 @@
  * and the grid order, so each scenario replays bit-identically.
  */
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <new>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -29,6 +33,50 @@
 #include "runner/sweep.hpp"
 #include "trace/trace_io.hpp"
 #include "workloads/suite.hpp"
+
+namespace
+{
+
+// Allocation probe for the oversized-length test: while armed, the
+// largest single operator-new request is recorded, and a request over
+// kProbeCap is refused, so a loader that trusts an on-disk length
+// fails fast instead of committing gigabytes.
+std::atomic<bool> g_probeArmed{false};
+std::atomic<std::size_t> g_largestRequest{0};
+constexpr std::size_t kProbeCap = std::size_t{256} << 20;
+
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    if (g_probeArmed.load(std::memory_order_relaxed)) {
+        std::size_t seen =
+            g_largestRequest.load(std::memory_order_relaxed);
+        while (size > seen &&
+               !g_largestRequest.compare_exchange_weak(seen, size)) {
+        }
+        if (size > kProbeCap)
+            throw std::bad_alloc();
+    }
+    if (void *block = std::malloc(size ? size : 1))
+        return block;
+    throw std::bad_alloc();
+}
+
+// Out of line, so the compiler never sees a free() of a pointer that
+// came from operator new (it warns on that pairing when inlined).
+[[gnu::noinline]] void
+operator delete(void *block) noexcept
+{
+    std::free(block);
+}
+
+[[gnu::noinline]] void
+operator delete(void *block, std::size_t) noexcept
+{
+    std::free(block);
+}
 
 namespace
 {
@@ -46,6 +94,22 @@ fileSize(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary | std::ios::ate);
     return in.good() ? static_cast<std::uint64_t>(in.tellg()) : 0;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+}
+
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 // ---------------------------------------------------------------------
@@ -686,9 +750,10 @@ TEST(FaultTolerance, GoldenCellsSurviveKillAndResume)
 }
 
 // ---------------------------------------------------------------------
-// Multi-journal regressions: the fleet reads journals it did not
-// write, so the loader must tolerate records it does not know and
-// must never manufacture progress from records it cannot decode.
+// Loader hardening: a journal may come from another tool version or a
+// damaged disk, so the loader must tolerate records it does not know,
+// never manufacture progress from records it cannot decode, and never
+// trust an on-disk length further than the file reaches.
 // ---------------------------------------------------------------------
 
 TEST(CheckpointJournal, UnknownRecordTypesAreSkippedNotTruncated)
@@ -761,42 +826,188 @@ TEST(CheckpointJournal, UndecodablePayloadEndsCleanPrefixNotACase)
     EXPECT_EQ(loaded.cases[0], 1u);
 }
 
-TEST(CheckpointJournal, CellFailedRecordsRoundTrip)
+TEST(CheckpointJournal, MalformedInputsNeverCrashTheLoader)
 {
-    const std::string path = tempPath("ckpt_cellfailed.bin");
-    std::remove(path.c_str());
+    const std::string path = tempPath("ckpt_fuzzed.bin");
 
-    runner::JournalCellFailed failed;
-    failed.jobIndex = 2;
-    failed.cell.label = "TPC/mcf.syn";
-    failed.cell.variant = ":v1";
-    failed.cell.seed = 0xfeedfacefeedfaceull;
-    failed.cell.attempts = 3;
-    failed.cell.kind = "timeout";
-    failed.cell.error = "cell deadline expired";
+    // Mutations of a healthy journal — retyped records, then 300
+    // seeded truncations, bit flips, splices, and duplicated slices —
+    // must never crash, hang, or yield a record the pristine journal
+    // did not hold, and a resume from whatever survived must append
+    // cleanly.
+    std::remove(path.c_str());
+    runner::JournalJobDone second = sampleJob();
+    second.jobIndex = 2;
+    second.label = "SPP/mcf.syn";
     {
         runner::CheckpointJournal journal;
         ASSERT_TRUE(journal.create(path, samplePlan()));
         ASSERT_TRUE(journal.appendJobDone(sampleJob()));
-        ASSERT_TRUE(journal.appendCellFailed(failed));
+        ASSERT_TRUE(journal.appendCaseDone(4));
+        ASSERT_TRUE(journal.appendJobDone(second));
+        ASSERT_TRUE(journal.appendCaseDone(5));
+    }
+    const std::string pristine = readFile(path);
+
+    // The record checksum covers the payload, not the type byte:
+    // every record retyped as every known type must still never load
+    // as a record the pristine journal did not hold.
+    std::vector<std::string> mutants;
+    {
+        runner::FramedReader reader;
+        ASSERT_TRUE(reader.open(path, runner::kCheckpointMagic));
+        runner::FramedReader::Record record;
+        while (reader.next(record)) {
+            for (const runner::JournalRecord type :
+                 {runner::JournalRecord::kPlan,
+                  runner::JournalRecord::kJobDone,
+                  runner::JournalRecord::kCaseDone}) {
+                std::string bytes = pristine;
+                bytes[record.offset] = static_cast<char>(type);
+                mutants.push_back(std::move(bytes));
+            }
+        }
     }
 
-    const auto loaded = runner::CheckpointJournal::load(path);
-    ASSERT_TRUE(loaded.valid) << loaded.error;
-    EXPECT_TRUE(loaded.cleanTail);
-    ASSERT_EQ(loaded.jobs.size(), 1u);
-    ASSERT_EQ(loaded.failedCells.size(), 1u);
-    const runner::JournalCellFailed &got = loaded.failedCells[0];
-    EXPECT_EQ(got.jobIndex, failed.jobIndex);
-    EXPECT_EQ(got.cell.label, failed.cell.label);
-    EXPECT_EQ(got.cell.variant, failed.cell.variant);
-    EXPECT_EQ(got.cell.seed, failed.cell.seed);
-    EXPECT_EQ(got.cell.attempts, failed.cell.attempts);
-    EXPECT_EQ(got.cell.kind, failed.cell.kind);
-    EXPECT_EQ(got.cell.error, failed.cell.error);
+    std::mt19937_64 rng(0xD01F1EE7ull);
+    for (int iteration = 0; iteration < 300; ++iteration) {
+        std::string bytes = pristine;
+        switch (rng() % 4) {
+        case 0: // truncate anywhere, including inside the magic
+            bytes.resize(rng() % (bytes.size() + 1));
+            break;
+        case 1: { // flip a bit
+            const std::size_t at = rng() % bytes.size();
+            bytes[at] = static_cast<char>(bytes[at] ^
+                                          (1u << (rng() % 8)));
+            break;
+        }
+        case 2: { // splice garbage into the middle
+            const std::size_t at = rng() % bytes.size();
+            std::string junk;
+            for (std::size_t i = 0; i < 1 + rng() % 16; ++i)
+                junk.push_back(static_cast<char>(rng()));
+            bytes.insert(at, junk);
+            break;
+        }
+        default: { // duplicate a slice (repeated records)
+            const std::size_t from = rng() % bytes.size();
+            const std::size_t len =
+                1 + rng() % (bytes.size() - from);
+            bytes.append(bytes, from, len);
+            break;
+        }
+        }
+        mutants.push_back(std::move(bytes));
+    }
+
+    for (std::size_t mutant = 0; mutant < mutants.size(); ++mutant) {
+        const std::string &bytes = mutants[mutant];
+        writeFile(path, bytes);
+        const auto loaded = runner::CheckpointJournal::load(path);
+        SCOPED_TRACE("mutant " + std::to_string(mutant));
+        EXPECT_TRUE(loaded.fileExists);
+        if (!loaded.valid) {
+            EXPECT_FALSE(loaded.error.empty());
+            continue;
+        }
+        EXPECT_LE(loaded.goodBytes, bytes.size());
+        if (loaded.cleanTail) {
+            EXPECT_EQ(loaded.goodBytes, bytes.size());
+        }
+        if (loaded.plan) {
+            EXPECT_TRUE(*loaded.plan == samplePlan());
+        }
+        for (const runner::JournalJobDone &job : loaded.jobs)
+            expectJobEqual(job, job.jobIndex == 2 ? second : sampleJob());
+        for (const std::uint64_t index : loaded.cases)
+            EXPECT_TRUE(index == 4 || index == 5) << index;
+
+        // Resume: truncate to the clean prefix, append, reload whole.
+        {
+            runner::CheckpointJournal journal;
+            ASSERT_TRUE(journal.openAppend(path, loaded.goodBytes));
+            ASSERT_TRUE(journal.appendCaseDone(9));
+        }
+        const auto resumed = runner::CheckpointJournal::load(path);
+        EXPECT_TRUE(resumed.cleanTail);
+        EXPECT_EQ(resumed.jobs.size(), loaded.jobs.size());
+        ASSERT_EQ(resumed.cases.size(), loaded.cases.size() + 1);
+        EXPECT_EQ(resumed.cases.back(), 9u);
+    }
+    std::remove(path.c_str());
 }
 
-TEST(FaultTolerance, ResumeReRunsJournaledFailedCells)
+/** Peak resident set of this process so far, in KiB. */
+long
+peakRssKiB()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_maxrss;
+}
+
+TEST(CheckpointJournal, OversizedLengthIsATornTailNotAnAllocation)
+{
+    runner::SweepOptions base_options;
+    base_options.jobs = 1;
+    auto baseline_sweep = makeGridSweep(base_options);
+    const std::string baseline_results =
+        baseline_sweep.run().store.resultsJson();
+
+    // Two cells journaled, then an envelope that claims 0xFFFFFFF0
+    // payload bytes the file does not have.
+    const std::string ckpt = tempPath("ckpt_oversized.bin");
+    std::remove(ckpt.c_str());
+    runner::FaultPlan plan;
+    ASSERT_TRUE(runner::FaultPlan::parse("stop@1", plan));
+    {
+        runner::SweepOptions options;
+        options.jobs = 1;
+        options.checkpointPath = ckpt;
+        options.faultPlan = &plan;
+        auto sweep = makeGridSweep(options);
+        ASSERT_TRUE(sweep.run().interrupted);
+    }
+    const std::uint64_t clean_bytes = fileSize(ckpt);
+    {
+        const unsigned char envelope[runner::kFrameEnvelopeBytes] = {
+            static_cast<unsigned char>(
+                runner::JournalRecord::kJobDone),
+            0xf0, 0xff, 0xff, 0xff, // payload length, little-endian
+            1, 2, 3, 4, 5, 6, 7, 8}; // checksum
+        std::ofstream out(ckpt, std::ios::binary | std::ios::app);
+        out.write(reinterpret_cast<const char *>(envelope),
+                  sizeof envelope);
+    }
+
+    const long rss_before = peakRssKiB();
+    g_largestRequest = 0;
+    g_probeArmed = true;
+    runner::CheckpointJournal::Load loaded;
+    EXPECT_NO_THROW(loaded = runner::CheckpointJournal::load(ckpt));
+    g_probeArmed = false;
+    EXPECT_LT(g_largestRequest.load(), std::size_t{1} << 20)
+        << "the loader sized a buffer from the claimed length";
+    EXPECT_LT(peakRssKiB() - rss_before, 64 * 1024);
+    ASSERT_TRUE(loaded.valid) << loaded.error;
+    EXPECT_FALSE(loaded.cleanTail);
+    EXPECT_EQ(loaded.goodBytes, clean_bytes);
+    EXPECT_EQ(loaded.jobs.size(), 2u);
+
+    runner::SweepOptions resume_options;
+    resume_options.jobs = 1;
+    resume_options.checkpointPath = ckpt;
+    resume_options.resume = true;
+    auto resumed_sweep = makeGridSweep(resume_options);
+    const auto resumed = resumed_sweep.run();
+    EXPECT_FALSE(resumed.interrupted);
+    EXPECT_EQ(resumed.meta.resumedJobs, 2u);
+    EXPECT_EQ(resumed.store.resultsJson(), baseline_results);
+    std::remove(ckpt.c_str());
+}
+
+TEST(FaultTolerance, ResumeReRunsQuarantinedCells)
 {
     runner::SweepOptions base_options;
     base_options.jobs = 1;
@@ -813,7 +1024,6 @@ TEST(FaultTolerance, ResumeReRunsJournaledFailedCells)
         options.jobs = 1;
         options.checkpointPath = ckpt;
         options.onError = runner::SweepOptions::OnError::kQuarantine;
-        options.journalFailures = true;
         options.faultPlan = &plan;
         auto sweep = makeGridSweep(options);
         const auto report = sweep.run();
@@ -822,12 +1032,12 @@ TEST(FaultTolerance, ResumeReRunsJournaledFailedCells)
     const auto journal = runner::CheckpointJournal::load(ckpt);
     ASSERT_TRUE(journal.valid) << journal.error;
     EXPECT_TRUE(journal.cleanTail);
-    ASSERT_EQ(journal.failedCells.size(), 1u);
-    EXPECT_EQ(journal.failedCells[0].jobIndex, 2u);
-    EXPECT_EQ(journal.jobs.size(), 3u);
+    ASSERT_EQ(journal.jobs.size(), 3u);
+    for (const runner::JournalJobDone &job : journal.jobs)
+        EXPECT_NE(job.jobIndex, 2u) << "a quarantined cell is not done";
 
-    // Resume without the fault: the journaled failure does not count
-    // as done, so the cell re-runs, succeeds, and the document
+    // Resume without the fault: the quarantined cell was never
+    // journaled as done, so it re-runs, succeeds, and the document
     // completes byte-identical to the uninterrupted baseline.
     runner::SweepOptions resume_options;
     resume_options.jobs = 1;

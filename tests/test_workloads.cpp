@@ -2,14 +2,21 @@
  * @file
  * Tests for the synthetic workload generators: determinism under
  * reset (the stratifier contract), data-structure coherence, suite
- * composition, and mix construction.
+ * composition, mix construction, and the instruction-trace format
+ * (round trips, and rejection of the other on-disk formats).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "runner/checkpoint.hpp"
+#include "trace/trace_io.hpp"
 #include "workloads/irregular_kernels.hpp"
 #include "workloads/mixed_kernels.hpp"
 #include "workloads/pointer_kernels.hpp"
@@ -260,6 +267,99 @@ TEST(TraceFile, LoopingReplayWraps)
     ASSERT_TRUE(replay.next(instr));
     EXPECT_TRUE(sameInstr(first, instr));
     std::remove(path.c_str());
+}
+
+/**
+ * One small file of each on-disk format: a DOLINS01 instruction
+ * trace, a DOLTRC01 event trace, and a DOLCKPT1 journal.
+ */
+struct FormatFiles
+{
+    std::string instr = "/tmp/dol_format_instr.bin";
+    std::string event = "/tmp/dol_format_event.trc";
+    std::string journal = "/tmp/dol_format_journal.ckpt";
+
+    FormatFiles()
+    {
+        MemoryImage image;
+        AluKernel source(image, {.seed = 5});
+        recordTrace(source, instr, 50);
+        TraceWriter writer(event);
+        for (std::uint64_t i = 0; i < 4; ++i)
+            writer.append(TraceEvent{});
+        writer.close();
+        runner::CheckpointJournal ckpt;
+        ckpt.create(journal, runner::JournalPlan{});
+    }
+
+    ~FormatFiles()
+    {
+        for (const std::string &path : {instr, event, journal})
+            std::remove(path.c_str());
+    }
+};
+
+TEST(TraceFile, EveryReaderRejectsTheOtherFormats)
+{
+    const FormatFiles files;
+    std::vector<TraceRecord> records;
+    std::string error;
+    ASSERT_TRUE(readTraceRecords(files.instr, records, &error)) << error;
+
+    EXPECT_FALSE(readTraceRecords(files.event, records, &error));
+    EXPECT_NE(error.find("DOLTRC01 event trace"), std::string::npos)
+        << error;
+    EXPECT_FALSE(readTraceRecords(files.journal, records, &error));
+    EXPECT_NE(error.find("not a DOLINS01"), std::string::npos) << error;
+    EXPECT_TRUE(records.empty());
+
+    std::vector<TraceEvent> events;
+    ASSERT_TRUE(readTraceFile(files.event, events, &error)) << error;
+    for (const std::string &path : {files.instr, files.journal}) {
+        EXPECT_FALSE(readTraceFile(path, events, &error)) << path;
+        EXPECT_NE(error.find("not a DOLTRC01"), std::string::npos)
+            << error;
+    }
+
+    ASSERT_TRUE(runner::CheckpointJournal::load(files.journal).valid);
+    for (const std::string &path : {files.instr, files.event}) {
+        const auto loaded = runner::CheckpointJournal::load(path);
+        EXPECT_FALSE(loaded.valid) << path;
+        EXPECT_NE(loaded.error.find("not a DOLCKPT1"),
+                  std::string::npos)
+            << loaded.error;
+    }
+
+    // Replaying an event trace as a workload fails loudly instead of
+    // simulating whatever its bytes decode to.
+    MemoryImage image;
+    EXPECT_EXIT(TraceKernel(image, files.event),
+                ::testing::ExitedWithCode(1), "DOLTRC01 event trace");
+}
+
+TEST(TraceFile, HeaderCountIsBoundedByTheFileSize)
+{
+    const FormatFiles files;
+    // Claim 2^60 records in a 50-record file: rejected before any
+    // allocation of that size.
+    std::string bytes;
+    {
+        std::ifstream in(files.instr, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    const std::uint64_t claimed = 1ull << 60;
+    std::memcpy(bytes.data() + 8, &claimed, sizeof claimed);
+    {
+        std::ofstream out(files.instr,
+                          std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(),
+                  static_cast<std::streamsize>(bytes.size()));
+    }
+    std::vector<TraceRecord> records;
+    std::string error;
+    EXPECT_FALSE(readTraceRecords(files.instr, records, &error));
+    EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+    EXPECT_TRUE(records.empty());
 }
 
 TEST(MemoryImageTest, ReadbackAndDefaultZero)

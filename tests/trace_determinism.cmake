@@ -4,7 +4,7 @@
 # with --jobs 4, then requires every per-cell trace file to be
 # byte-identical between the two runs. This is the contract the event
 # bus documents: trace bytes depend only on the cell, never on worker
-# scheduling.
+# scheduling. It also checks that `--replay` refuses an event trace.
 #
 # Usage:
 #   cmake -DDOLSIM=<path-to-dolsim> -DWORKDIR=<scratch-dir>
@@ -61,5 +61,19 @@ foreach(cell ${cells})
                 "--jobs 1 and --jobs 4")
     endif()
 endforeach()
+
+# An event trace is not a workload: --replay must refuse it (exit
+# nonzero, naming the format) instead of simulating its bytes.
+execute_process(
+    COMMAND "${DOLSIM}" --replay "${WORKDIR}/j1.trc.mcf.syn.TPC"
+            --instrs 1000 --quiet
+    RESULT_VARIABLE rc
+    OUTPUT_QUIET
+    ERROR_VARIABLE replay_err)
+if(rc EQUAL 0 OR NOT replay_err MATCHES "DOLTRC01 event trace")
+    message(FATAL_ERROR
+            "trace_determinism: --replay of an event trace must fail "
+            "loudly (rc=${rc}): ${replay_err}")
+endif()
 
 message(STATUS "trace_determinism: all ${cells} byte-identical")

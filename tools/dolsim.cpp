@@ -11,6 +11,8 @@
  *   dolsim --workload libquantum.syn --prefetcher TPC
  *   dolsim --suite spec --prefetcher TPC,SPP,BOP --jobs 8 --csv
  *   dolsim --suite all --prefetcher TPC --json results.json
+ *   dolsim --suite all --jobs 4 --checkpoint s.ckpt --json s.json \
+ *       --supervise
  *   dolsim --workload mcf.syn --prefetcher TPC --dest l2
  *   dolsim --workload mcf.syn --prefetcher TPC --trace run.trc
  *   dolsim --dump-trace run.trc
@@ -24,17 +26,15 @@
 #include <vector>
 
 #include <csignal>
-#include <unistd.h>
 
 #include "check/adaptive_check.hpp"
 #include "check/campaign.hpp"
-#include "fleet/coordinator.hpp"
-#include "fleet/worker.hpp"
 #include "check/multicore_check.hpp"
 #include "common/log.hpp"
 #include "metrics/table.hpp"
 #include "runner/cli.hpp"
 #include "runner/fault.hpp"
+#include "runner/supervisor.hpp"
 #include "runner/sweep.hpp"
 #include "runner/thread_pool.hpp"
 #include "sim/contention.hpp"
@@ -94,16 +94,11 @@ struct Options
     std::uint64_t retryBackoffMs = 100;
     std::string faultPlanSpec; ///< deterministic fault injection
 
-    // Fleet execution (README "Fleet execution").
-    bool fleet = false; ///< coordinate a sharded multi-process sweep
-    bool fleetWorker = false; ///< execute one leased cell range
-    std::uint64_t fleetWorkers = 2; ///< concurrent worker processes
-    std::string leaseDir; ///< ledger + per-lease journals
-    std::uint64_t leaseId = 0; ///< lease to execute (--fleet-worker)
-    bool leaseIdSet = false;
-    std::uint64_t leaseTtlMs = 30000; ///< worker liveness budget
+    // Supervised sweeps (README "Supervised sweeps").
+    bool supervise = false; ///< re-exec the sweep until it finishes
+    std::uint64_t stallTimeoutMs = 30000; ///< journal liveness budget
     /** Replicate the grid K times with variants :s0..:sK-1 (distinct
-     *  per-cell seeds) — cheap way to scale a grid to fleet size. */
+     *  per-cell seeds) — cheap way to scale a grid up. */
     std::uint64_t seedVariants = 0;
 };
 
@@ -174,19 +169,13 @@ usage()
         "per retry (default 100)\n"
         "  --fault-plan SPEC          inject faults: "
         "throw|hang|abort|stop@CELL[:TIMES],...\n"
-        "  --fleet                    shard the sweep across worker "
-        "processes (needs --json)\n"
-        "  --fleet-workers N          concurrent worker processes "
-        "(default 2)\n"
-        "  --lease-dir DIR            lease ledger + per-worker "
-        "journals (default JSON.leases)\n"
-        "  --lease-ttl MS             kill+re-lease a worker whose "
-        "journal stalls this long\n"
-        "  --fleet-worker             run one leased range (spawned "
-        "by --fleet; needs\n"
-        "                             --lease-dir and --lease-id)\n"
-        "  --lease-id N               lease to execute "
-        "(--fleet-worker)\n"
+        "  --supervise                re-run the sweep (with --resume) "
+        "until it finishes;\n"
+        "                             needs --checkpoint and --json\n"
+        "  --stall-timeout MS         --supervise: kill+restart a sweep "
+        "whose journal\n"
+        "                             stalls this long (default "
+        "30000)\n"
         "  --seed-variants K          replicate the grid K times as "
         "variants :s0..:sK-1\n"
         "  --csv                      machine-readable output\n"
@@ -348,30 +337,13 @@ parse(int argc, char **argv)
             }
         } else if (arg == "--fault-plan") {
             options.faultPlanSpec = next();
-        } else if (arg == "--fleet") {
-            options.fleet = true;
-        } else if (arg == "--fleet-worker") {
-            options.fleetWorker = true;
-        } else if (arg == "--fleet-workers") {
-            const std::string value = next();
-            if (!parseUnsignedInRange(value, 1, 256,
-                                      options.fleetWorkers)) {
-                dol::fatal("bad --fleet-workers value: " + value);
-            }
-        } else if (arg == "--lease-dir") {
-            options.leaseDir = nextPath();
-        } else if (arg == "--lease-id") {
+        } else if (arg == "--supervise") {
+            options.supervise = true;
+        } else if (arg == "--stall-timeout") {
             const std::string value = next();
             if (!parseUnsignedInRange(value, 1, UINT64_MAX,
-                                      options.leaseId)) {
-                dol::fatal("bad --lease-id value: " + value);
-            }
-            options.leaseIdSet = true;
-        } else if (arg == "--lease-ttl") {
-            const std::string value = next();
-            if (!parseUnsignedInRange(value, 1, UINT64_MAX,
-                                      options.leaseTtlMs)) {
-                dol::fatal("bad --lease-ttl value: " + value);
+                                      options.stallTimeoutMs)) {
+                dol::fatal("bad --stall-timeout value: " + value);
             }
         } else if (arg == "--seed-variants") {
             const std::string value = next();
@@ -408,24 +380,10 @@ parse(int argc, char **argv)
         !options.trace.empty() || !options.record.empty() ||
         !options.replay.empty() || !options.fuzzReplay.empty() ||
         !options.traceIn.empty();
-    if (options.fleet && options.fleetWorker)
-        dol::fatal("--fleet and --fleet-worker are exclusive");
-    if (options.fleet) {
-        if (options.json.empty())
-            dol::fatal("--fleet needs --json FILE (the merged "
-                       "document)");
-        if (grid_only_conflict || !options.checkpoint.empty())
-            dol::fatal("--fleet supports plain grid sweeps only (no "
-                       "mixes, traces, fuzzing, or --checkpoint)");
-    }
-    if (options.fleetWorker) {
-        if (options.leaseDir.empty() || !options.leaseIdSet)
-            dol::fatal(
-                "--fleet-worker needs --lease-dir and --lease-id");
-        if (grid_only_conflict || !options.checkpoint.empty())
-            dol::fatal("--fleet-worker supports plain grid sweeps "
-                       "only");
-    }
+    if (options.supervise &&
+        (options.checkpoint.empty() || options.json.empty()))
+        dol::fatal("--supervise needs --checkpoint FILE and --json "
+                   "FILE");
     if (options.seedVariants && grid_only_conflict)
         dol::fatal("--seed-variants applies to plain grid sweeps "
                    "only");
@@ -442,6 +400,41 @@ interruptedExitCode()
     return 128 + (signo ? signo : SIGINT);
 }
 
+/**
+ * `--supervise`: run this same command as a child process (without
+ * --supervise, with --resume) and restart it until the sweep
+ * finishes. --fault-plan reaches the first child only, so a restart
+ * never re-trips the fault it died of.
+ */
+int
+supervise(int argc, char **argv, const Options &options)
+{
+    dol::runner::installStopHandlers();
+    dol::runner::SupervisorOptions supervisor;
+    supervisor.journalPath = options.checkpoint;
+    supervisor.stallMs = options.stallTimeoutMs;
+    supervisor.verbose = !options.quiet;
+    supervisor.stopFlag = &dol::runner::signalStopFlag();
+    supervisor.args.push_back(argv[0]);
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--supervise")
+            continue;
+        if (arg == "--fault-plan") {
+            supervisor.firstArgs = {arg, argv[++i]};
+            continue;
+        }
+        supervisor.args.push_back(arg);
+    }
+    if (!options.resume)
+        supervisor.args.push_back("--resume");
+    std::string error;
+    const int code = dol::runner::superviseSweep(supervisor, &error);
+    if (!error.empty())
+        std::fprintf(stderr, "dolsim: %s\n", error.c_str());
+    return code;
+}
+
 } // namespace
 
 int
@@ -449,6 +442,9 @@ main(int argc, char **argv)
 {
     using namespace dol;
     const Options options = parse(argc, argv);
+
+    if (options.supervise)
+        return supervise(argc, argv, options);
 
     if (options.list) {
         TextTable table({"workload", "suite"});
@@ -698,135 +694,6 @@ main(int argc, char **argv)
                               variant);
             }
         }
-    }
-
-    if (options.fleetWorker) {
-        // One leased cell range; the coordinator reads our journal
-        // and exit code. No table/JSON output — the merge does that.
-        sweep_options.progress = false;
-        fleet::WorkerOptions worker;
-        worker.leaseDir = options.leaseDir;
-        worker.leaseId = options.leaseId;
-        std::string error;
-        const int code =
-            fleet::runFleetWorker(sweep, sweep_options, worker,
-                                  &error);
-        if (code == fleet::kWorkerSetupError)
-            std::fprintf(stderr, "dolsim: %s\n", error.c_str());
-        return code;
-    }
-
-    if (options.fleet) {
-        fleet::FleetOptions fleet_options;
-        fleet_options.leaseDir = options.leaseDir.empty()
-                                     ? options.json + ".leases"
-                                     : options.leaseDir;
-        fleet_options.workers =
-            static_cast<unsigned>(options.fleetWorkers);
-        fleet_options.leaseTtlMs = options.leaseTtlMs;
-        fleet_options.outputPath = options.json;
-        fleet_options.verbose = !options.quiet;
-        fleet_options.stopFlag = &runner::signalStopFlag();
-
-        // Workers rebuild the exact same grid from explicit
-        // arguments (suites were already expanded into --workload).
-        const auto join = [](const std::vector<std::string> &parts) {
-            std::string out;
-            for (const std::string &part : parts) {
-                if (!out.empty())
-                    out += ",";
-                out += part;
-            }
-            return out;
-        };
-        std::vector<std::string> base_args{
-            "dolsim",      "--fleet-worker",
-            "--lease-dir", fleet_options.leaseDir,
-            "--workload",  join(options.workloads),
-            "--prefetcher", join(options.prefetchers),
-            "--instrs",    std::to_string(options.instrs),
-            "--jobs",      "1",
-            "--quiet"};
-        const auto push_flag = [&](const char *flag,
-                                   const std::string &value) {
-            base_args.push_back(flag);
-            base_args.push_back(value);
-        };
-        if (!options.dest.empty())
-            push_flag("--dest", options.dest);
-        if (options.adaptiveCoordinator)
-            push_flag("--coordinator", "adaptive");
-        if (options.counters)
-            base_args.push_back("--counters");
-        if (options.seedVariants)
-            push_flag("--seed-variants",
-                      std::to_string(options.seedVariants));
-        if (options.cellTimeoutMs)
-            push_flag("--cell-timeout",
-                      std::to_string(options.cellTimeoutMs));
-        if (options.retries)
-            push_flag("--retries", std::to_string(options.retries));
-        if (options.retryBackoffMs != 100)
-            push_flag("--retry-backoff-ms",
-                      std::to_string(options.retryBackoffMs));
-
-        const auto spawn =
-            [&](const fleet::LeaseGrant &grant) -> pid_t {
-            std::vector<std::string> args = base_args;
-            args.push_back("--lease-id");
-            args.push_back(std::to_string(grant.leaseId));
-            // Fault injection is a generation-0 affair: a re-granted
-            // range must not re-trip the fault it died of.
-            if (grant.generation == 0 &&
-                !options.faultPlanSpec.empty()) {
-                args.push_back("--fault-plan");
-                args.push_back(options.faultPlanSpec);
-            }
-            const pid_t pid = fork();
-            if (pid != 0)
-                return pid;
-            std::vector<char *> argvv;
-            argvv.reserve(args.size() + 1);
-            for (std::string &a : args)
-                argvv.push_back(a.data());
-            argvv.push_back(nullptr);
-            execv("/proc/self/exe", argvv.data());
-            _exit(127);
-        };
-
-        fleet::FleetCoordinator coordinator(sweep.plan(),
-                                            fleet_options, spawn);
-        runner::SweepMeta meta;
-        meta.generator = "dolsim";
-        meta.maxInstrs = options.instrs;
-        const fleet::FleetReport fleet_report =
-            coordinator.run(std::move(meta));
-        if (fleet_report.interrupted) {
-            std::fprintf(stderr, "dolsim: %s\n",
-                         fleet_report.error.c_str());
-            return interruptedExitCode();
-        }
-        if (!fleet_report.ok)
-            fatal(fleet_report.error);
-        if (!options.quiet) {
-            std::fprintf(
-                stderr,
-                "fleet: %u lease(s) granted (%u completed, %u "
-                "expired), %u worker(s) spawned, merged %llu cells "
-                "(%llu failed, %llu duplicates) into %s\n",
-                fleet_report.leasesGranted,
-                fleet_report.leasesCompleted,
-                fleet_report.leasesExpired,
-                fleet_report.workersSpawned,
-                static_cast<unsigned long long>(
-                    fleet_report.merge.mergedCells),
-                static_cast<unsigned long long>(
-                    fleet_report.merge.failedCells),
-                static_cast<unsigned long long>(
-                    fleet_report.merge.duplicatesDiscarded),
-                options.json.c_str());
-        }
-        return fleet_report.merge.failedCells ? 3 : 0;
     }
 
     runner::SweepRunner::Report report;
