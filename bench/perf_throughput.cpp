@@ -269,8 +269,10 @@ main(int argc, char **argv)
     double sweep_wall = 0.0;
     std::uint64_t sweep_instrs = 0;
     if (jobs > 0) {
-        runner::SweepRunner sweep(config,
-                                  {.jobs = jobs, .progress = false});
+        runner::SweepOptions options;
+        options.jobs = jobs;
+        options.progress = false;
+        runner::SweepRunner sweep(config, options);
         for (const CellResult &cell : cells) {
             // Mix cells run the multicore path, not a sweep cell.
             if (cell.prefetcher == "none" ||

@@ -2,15 +2,12 @@
 
 #include <bit>
 
-#include "common/hotpath.hpp"
 #include "common/log.hpp"
-#include "common/simd.hpp"
 
 namespace dol
 {
 
-Cache::Cache(const Params &params)
-    : _params(params), _fastPath(hotpath::fastPath())
+Cache::Cache(const Params &params) : _params(params)
 {
     const std::uint32_t lines = params.sizeBytes / kLineBytes;
     if (params.assoc == 0 || lines == 0 || lines % params.assoc != 0)
@@ -38,10 +35,11 @@ Cache::find(Addr line_addr)
     const Addr tag = lineAddr(line_addr);
     // Line addresses have zeroed offset bits, so a valid tag can never
     // equal kNoAddr (all ones): the tag mirror alone decides the hit.
-    // The whole set compares in one or two vector ops (simd.hpp).
-    const int way = simd::findTag(_tags.data() + base, _params.assoc, tag);
-    return way >= 0 ? &_lines[base + static_cast<unsigned>(way)]
-                    : nullptr;
+    for (std::uint32_t way = 0; way < _params.assoc; ++way) {
+        if (_tags[base + way] == tag)
+            return &_lines[base + way];
+    }
+    return nullptr;
 }
 
 const Cache::Line *
@@ -61,14 +59,17 @@ std::optional<Cache::Victim>
 Cache::insert(Addr line_addr, Line **out_line)
 {
     const std::size_t base = setIndex(line_addr);
-    // Victim scan over the dense tag/stamp mirrors: first free way,
-    // else least-recently-stamped — identical order to a scan of the
-    // Line structs themselves. The free-way search is a vector tag
-    // match; the stamp argmin keeps the scalar tie-break.
-    const std::size_t victim_index =
-        base + simd::victimWay(_tags.data() + base,
-                               _stamps.data() + base, _params.assoc,
-                               kNoAddr);
+    // Victim scan over the dense tag/stamp mirrors: the first free
+    // way, else the smallest stamp (earliest way on ties).
+    std::size_t victim_index = base;
+    for (std::size_t i = base; i < base + _params.assoc; ++i) {
+        if (_tags[i] == kNoAddr) {
+            victim_index = i;
+            break;
+        }
+        if (_stamps[i] < _stamps[victim_index])
+            victim_index = i;
+    }
     Line *victim_line = &_lines[victim_index];
 
     std::optional<Victim> victim;
@@ -119,12 +120,6 @@ Cache::prefetchedCompsInSet(Addr line_addr,
 Cache::MshrEntry *
 Cache::pendingEntry(Addr line_addr, Cycle now)
 {
-    // Quiescence fast path: once every fill in the file has landed
-    // (now is past the latest completion ever registered), no entry
-    // can be pending — skip the scan entirely. Exact by definition:
-    // an entry is live iff entry.completion > now.
-    if (_fastPath && now >= _mshrMaxCompletion)
-        return nullptr;
     const Addr tag = lineAddr(line_addr);
     for (MshrEntry &entry : _mshrs) {
         if (entry.lineAddr == tag && entry.completion > now)
@@ -136,8 +131,6 @@ Cache::pendingEntry(Addr line_addr, Cycle now)
 Cycle
 Cache::pendingCompletion(Addr line_addr, Cycle now) const
 {
-    if (_fastPath && now >= _mshrMaxCompletion)
-        return kNoCycle;
     const Addr tag = lineAddr(line_addr);
     for (const MshrEntry &entry : _mshrs) {
         if (entry.lineAddr == tag && entry.completion > now)
@@ -149,8 +142,6 @@ Cache::pendingCompletion(Addr line_addr, Cycle now) const
 std::uint32_t
 Cache::liveMshrCount(Cycle now) const
 {
-    if (_fastPath && now >= _mshrMaxCompletion)
-        return 0;
     std::uint32_t live = 0;
     for (const MshrEntry &entry : _mshrs) {
         if (entry.completion > now)
@@ -162,10 +153,6 @@ Cache::liveMshrCount(Cycle now) const
 bool
 Cache::mshrFull(Cycle now) const
 {
-    // No in-flight fill => some slot is reusable (or there are no
-    // slots at all, in which case the file never reports full).
-    if (_fastPath && now >= _mshrMaxCompletion)
-        return false;
     for (const MshrEntry &entry : _mshrs) {
         if (entry.completion <= now)
             return false;
@@ -198,15 +185,11 @@ Cache::addMshr(Addr line_addr, Cycle completion, ComponentId comp,
     }
     *slot = MshrEntry{lineAddr(line_addr), completion, comp,
                       is_prefetch, false};
-    if (completion > _mshrMaxCompletion)
-        _mshrMaxCompletion = completion;
 }
 
 bool
 Cache::stealPrefetchMshr(Cycle now)
 {
-    if (_fastPath && now >= _mshrMaxCompletion)
-        return false;
     // Reclaim the most speculative victim: the prefetch completing
     // furthest in the future.
     MshrEntry *victim = nullptr;

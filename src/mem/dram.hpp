@@ -211,10 +211,6 @@ class Dram
         std::vector<Bank> banks;
         Cycle busReadyAt = 0;
         std::vector<QueueEntry> queue;
-        /** Latest completion of any queued entry: once the clock
-         *  passes it the whole queue is dead and pruneQueue clears it
-         *  in O(1) instead of filtering (event-driven fast path). */
-        Cycle liveMax = 0;
     };
 
     unsigned channelOf(Addr line_addr) const;
@@ -228,7 +224,7 @@ class Dram
      * Make room in a full queue according to the drop policy.
      * @return false when the incoming prefetch itself should be shed.
      */
-    bool makeRoom(Channel &channel, Cycle now, bool incoming_is_prefetch,
+    bool makeRoom(Channel &channel, bool incoming_is_prefetch,
                   std::uint8_t incoming_priority);
 
     struct ArbDelay
@@ -245,8 +241,6 @@ class Dram
     Cycle applyBandwidthWindow(Cycle now);
 
     DramParams _params;
-    /** Event-driven fast path enabled (hotpath::fastPath() at ctor). */
-    bool _fastPath;
     std::vector<Channel> _channels;
     DramStats _stats;
     /** Scratch for makeRoom's drop-candidate list (no per-call heap). */

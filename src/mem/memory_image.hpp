@@ -8,13 +8,10 @@
  * (paper section IV-B: "the value from the previous prefetch will be
  * stored [and] the next prefetch will be issued").
  *
- * Pages live in a flat open-addressed table keyed by page number and
- * point into a slab arena (64 pages per backing allocation, PR 9) —
- * building a pointer-chase image used to cost one malloc per touched
- * 4 KB page, re-paid on every bench repetition. The aligned fast path
- * resolves a 64-bit read or write with one table probe and one
- * memcpy; only accesses straddling a page boundary fall back to the
- * byte loop.
+ * Pages are zeroed 4 KB arrays held in a flat open-addressed table
+ * keyed by page number. An aligned 64-bit read or write resolves with
+ * one table probe and one memcpy; only accesses straddling a page
+ * boundary fall back to the byte loop.
  */
 
 #ifndef DOL_MEM_MEMORY_IMAGE_HPP
@@ -22,8 +19,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 
-#include "common/arena.hpp"
 #include "common/flat_table.hpp"
 #include "common/types.hpp"
 
@@ -51,7 +48,7 @@ class MemoryImage : public ValueSource
             if (!page)
                 return 0;
             std::uint64_t value;
-            std::memcpy(&value, *page + offset, 8);
+            std::memcpy(&value, page->get() + offset, 8);
             return value;
         }
         std::uint64_t value = 0;
@@ -80,17 +77,15 @@ class MemoryImage : public ValueSource
     static constexpr unsigned kPageBits = 12;
     static constexpr std::size_t kPageBytes = 1u << kPageBits;
 
-    /** Raw pointer into _arena; owned by the arena, never freed
-     *  individually (the image only grows until destruction). */
-    using Page = std::uint8_t *;
+    using Page = std::unique_ptr<std::uint8_t[]>;
 
-    Page
+    std::uint8_t *
     pageFor(Addr addr)
     {
         auto [page, inserted] = _pages.tryEmplace(addr >> kPageBits);
         if (inserted)
-            *page = _arena.allocate(); // zero-filled by the arena
-        return *page;
+            *page = std::make_unique<std::uint8_t[]>(kPageBytes);
+        return page->get();
     }
 
     std::uint8_t
@@ -109,8 +104,6 @@ class MemoryImage : public ValueSource
     }
 
     FlatHashMap<std::uint64_t, Page> _pages;
-    /** Backing store: one malloc per 64 pages instead of per page. */
-    SlabArena _arena{kPageBytes, 64};
 };
 
 } // namespace dol

@@ -112,27 +112,14 @@ Simulator::stepBlock(std::size_t max)
 void
 Simulator::run(const CancelToken *cancel)
 {
-    if (_referenceLoop) {
-        // Legacy one-at-a-time loop, kept for A/B equivalence tests.
-        while (_instrs < _config.maxInstrs && step()) {
-            // Poll coarsely: a deadline check costs a clock read, so
-            // do it once per 4096 instructions, not per step.
-            if (cancel && (_instrs & 0xFFF) == 0 && cancel->cancelled())
-                throw CancelledError("simulation cancelled after " +
-                                     std::to_string(_instrs) +
-                                     " instructions");
-        }
-        return;
-    }
-
     while (_instrs < _config.maxInstrs) {
         const std::uint64_t budget = _config.maxInstrs - _instrs;
         const std::size_t got = stepBlock(static_cast<std::size_t>(
             std::min<std::uint64_t>(budget, kBatchInstrs)));
         if (got == 0)
             break;
-        // Same ~4096-instruction poll coarseness as the reference
-        // loop: poll at the first batch boundary past each multiple.
+        // Poll coarsely: a deadline check costs a clock read, so do
+        // it at the first batch boundary past each multiple of 4096.
         if (cancel && (_instrs & ~std::uint64_t{0xFFF}) !=
                           ((_instrs - got) & ~std::uint64_t{0xFFF}) &&
             cancel->cancelled()) {

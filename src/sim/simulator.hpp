@@ -8,13 +8,13 @@
  * (never delivered re-entrantly), so a component chaining prefetches
  * off fills (P1) observes the same ordering the hardware would.
  *
- * The run loop is batched (PR 9): decode drains the kernel's
+ * The run loop is batched: decode drains the kernel's
  * already-generated queue in blocks of up to kBatchInstrs into a flat
  * buffer, then executes the block instruction by instruction. Kernel
  * generation still happens exactly when the queue is empty — never
  * ahead of execution — and fills still drain after every instruction,
- * so the observable event order is identical to the one-at-a-time
- * loop (setReferenceLoop() keeps that loop alive for A/B tests).
+ * so the observable event order is identical to a step() loop (the
+ * test reference for stepBlock()).
  */
 
 #ifndef DOL_SIM_SIMULATOR_HPP
@@ -88,12 +88,6 @@ class Simulator
      * @return instructions executed; 0 when the kernel is done.
      */
     std::size_t stepBlock(std::size_t max);
-
-    /**
-     * Test hook: make run() use the legacy one-instruction-at-a-time
-     * loop instead of the batched pipeline (A/B equivalence tests).
-     */
-    void setReferenceLoop(bool reference) { _referenceLoop = reference; }
 
     const Core &core() const { return _core; }
     MemorySystem &mem() { return _mem; }
@@ -204,7 +198,6 @@ class Simulator
     std::vector<std::string> _componentNames;
     AccessObserver _accessObserver;
     std::uint64_t _instrs = 0;
-    bool _referenceLoop = false;
     /** Decode buffer for the batched pipeline. */
     std::array<Instr, kBatchInstrs> _batch;
 };

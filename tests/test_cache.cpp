@@ -165,6 +165,33 @@ TEST_P(CacheAssocSweep, FullSetEvictsInInsertionOrderWithoutTouches)
     }
 }
 
+TEST_P(CacheAssocSweep, FreedWayFillsFirstThenLruEvicts)
+{
+    const std::uint32_t assoc = GetParam();
+    Cache cache(smallCache(kLineBytes * assoc, assoc)); // one set
+    Cache::Line *line = nullptr;
+    for (Addr i = 0; i < assoc; ++i)
+        EXPECT_FALSE(cache.insert(i * kLineBytes, &line).has_value());
+
+    // Free the middle way: the next insert takes it without a victim,
+    // even though way 0 holds the LRU line.
+    const Addr freed = (assoc / 2) * kLineBytes;
+    const Cache::Line *freed_way = cache.find(freed);
+    ASSERT_TRUE(cache.invalidate(freed));
+    const Addr refill = assoc * kLineBytes;
+    EXPECT_FALSE(cache.insert(refill, &line).has_value());
+    EXPECT_EQ(line, freed_way);
+    EXPECT_EQ(cache.find(refill), freed_way);
+
+    // The set is full again, so the next insert evicts the LRU line:
+    // the oldest survivor, or the refill itself in a 1-way set.
+    const Addr lru = assoc == 1 ? refill : 0;
+    auto victim = cache.insert((assoc + 1) * kLineBytes, &line);
+    ASSERT_TRUE(victim.has_value());
+    EXPECT_EQ(victim->lineAddr, lru);
+    EXPECT_EQ(cache.find(lru), nullptr);
+}
+
 INSTANTIATE_TEST_SUITE_P(Assoc, CacheAssocSweep,
                          ::testing::Values(1u, 2u, 4u, 8u, 16u));
 

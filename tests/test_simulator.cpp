@@ -6,11 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "common/rng.hpp"
 #include "core/registry.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
+#include "trace/counters.hpp"
 #include "workloads/pointer_kernels.hpp"
 #include "workloads/stream_kernels.hpp"
+#include "workloads/suite.hpp"
 
 namespace dol
 {
@@ -171,6 +177,104 @@ TEST(Simulator, RunsAreDeterministic)
             sim.mem().stats().prefetchesIssued());
     };
     EXPECT_EQ(run_once(), run_once());
+}
+
+struct CellRun
+{
+    std::uint64_t instructions = 0;
+    double ipc = 0.0;
+    std::string counters;
+};
+
+/** How runCell() drives the simulator through its budget. */
+enum class Drive
+{
+    kRun,          ///< the batched run() loop
+    kStep,         ///< one step() per instruction (the reference)
+    kRandomBlocks, ///< stepBlock() calls of random size
+};
+
+CellRun
+runCell(const std::string &workload, const std::string &prefetcher_name,
+        Drive drive)
+{
+    MemoryImage image;
+    const WorkloadSpec &spec = findWorkload(workload);
+    auto kernel = spec.factory(image);
+    auto prefetcher = prefetcher_name == "none"
+                          ? nullptr
+                          : makePrefetcher(prefetcher_name, &image);
+
+    const SimConfig config = testConfig(60000);
+    Simulator sim(config, *kernel, prefetcher.get());
+    switch (drive) {
+    case Drive::kRun:
+        sim.run();
+        break;
+    case Drive::kStep:
+        while (sim.instructions() < config.maxInstrs && sim.step()) {
+        }
+        break;
+    case Drive::kRandomBlocks: {
+        // Sizes from 1 to past kBatchInstrs, so blocks straddle the
+        // kernel's generate() calls.
+        Rng rng(0xFA57003);
+        while (sim.instructions() < config.maxInstrs) {
+            const std::uint64_t max = 1 + rng.below(300);
+            const std::uint64_t left = config.maxInstrs - sim.instructions();
+            if (sim.stepBlock(static_cast<std::size_t>(
+                    std::min(max, left))) == 0)
+                break;
+        }
+        break;
+    }
+    }
+
+    CellRun out;
+    out.instructions = sim.instructions();
+    out.ipc = sim.ipc();
+    CounterRegistry registry;
+    sim.exportCounters(registry);
+    out.counters = registry.toText();
+    return out;
+}
+
+// libquantum/none is idle-heavy (the MSHR file and DRAM queues drain
+// between miss bursts); the composite cell keeps them busy with chained
+// prefetch fills; shuflist generates mid-stream, which the batched
+// decode must never run ahead of.
+const std::pair<const char *, const char *> kEquivalenceCells[] = {
+    {"libquantum.syn", "none"},
+    {"libquantum.syn", "TPC"},
+    {"mcf.syn", "SPP"},
+    {"shuflist.syn", "TPC+SPP+Triangel+PChase"},
+};
+
+/** Check that @p drive ends every equivalence cell where step() does. */
+void
+expectMatchesStep(Drive drive)
+{
+    for (const auto &[workload, prefetcher] : kEquivalenceCells) {
+        const CellRun ref = runCell(workload, prefetcher, Drive::kStep);
+        const CellRun got = runCell(workload, prefetcher, drive);
+        EXPECT_EQ(got.instructions, ref.instructions)
+            << workload << "/" << prefetcher;
+        EXPECT_EQ(got.ipc, ref.ipc) << workload << "/" << prefetcher;
+        EXPECT_EQ(got.counters, ref.counters)
+            << workload << "/" << prefetcher;
+    }
+}
+
+// The batched run() loop and stepBlock() are the simulator's fast
+// path; one step() per instruction is the reference they must match.
+TEST(FastPath, SimulatorEquivalenceAcrossCells)
+{
+    expectMatchesStep(Drive::kRun);
+}
+
+TEST(FastPath, StepBlockMatchesStepSequence)
+{
+    expectMatchesStep(Drive::kRandomBlocks);
 }
 
 TEST(Simulator, QuickEnvShrinksBudget)
