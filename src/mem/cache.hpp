@@ -148,9 +148,10 @@ class Cache
     std::uint32_t _numSets;
     std::vector<Line> _lines;
     /** Tag-only mirror of _lines (kNoAddr = invalid): find() scans 8
-     *  bytes per way instead of the 40-byte Line, so a set fits in one
-     *  cache line. Maintained by insert()/invalidate() — callers
-     *  mutate every other Line field but never tag/valid. */
+     *  bytes per way instead of the 24-byte Line (8-byte tag, six
+     *  1-byte fields, padding, 8-byte readyAt), so an L1 or L2 set's
+     *  tags fit in one cache line. Maintained by insert()/invalidate()
+     *  — callers mutate every other Line field but never tag/valid. */
     std::vector<Addr> _tags;
     /** LRU stamps, same index space as _lines/_tags: the insert()
      *  victim scan reads only _tags + _stamps (two dense arrays). */

@@ -1,7 +1,6 @@
 #include "mem/dram.hpp"
 
 #include <algorithm>
-#include <array>
 
 namespace dol
 {
@@ -44,6 +43,7 @@ Dram::Dram(const DramParams &params)
         channel.queue.reserve(params.queueCapacity);
     }
     _dropScratch.reserve(params.queueCapacity);
+    _arbScratch.reserve(params.queueCapacity);
 }
 
 unsigned
@@ -142,8 +142,7 @@ Dram::occupancy(Addr line_addr, Cycle now)
 }
 
 Dram::ArbDelay
-Dram::arbitrationDelay(Channel &channel, Cycle now,
-                       std::uint8_t core) const
+Dram::arbitrationDelay(Channel &channel, Cycle now, std::uint8_t core)
 {
     ArbDelay result;
     std::uint64_t slots = 0;
@@ -160,20 +159,31 @@ Dram::arbitrationDelay(Channel &channel, Cycle now,
         // Round-robin: wait behind every own entry, but at most
         // (own + 1) entries of any competing core — a quiet core's
         // first request slots in after one round of the busy cores.
-        std::array<std::uint64_t, 256> counts{};
+        // Only the competing core ids present are tallied: a mix has a
+        // handful, so a linear lookup beats clearing a table per id.
+        std::vector<CoreTally> &others = _arbScratch;
+        others.clear();
+        std::uint64_t own = 0;
         for (const QueueEntry &entry : channel.queue) {
             if (entry.completion <= now)
                 continue;
-            ++counts[entry.coreId];
             live_prefetch |= entry.isPrefetch;
-        }
-        const std::uint64_t own = counts[core];
-        slots = own;
-        for (std::size_t c = 0; c < counts.size(); ++c) {
-            if (c == core || counts[c] == 0)
+            if (entry.coreId == core) {
+                ++own;
                 continue;
-            slots += std::min(counts[c], own + 1);
+            }
+            auto it = std::find_if(others.begin(), others.end(),
+                                   [&](const CoreTally &tally) {
+                                       return tally.core == entry.coreId;
+                                   });
+            if (it == others.end())
+                others.push_back({entry.coreId, 1});
+            else
+                ++it->count;
         }
+        slots = own;
+        for (const CoreTally &tally : others)
+            slots += std::min(tally.count, own + 1);
     }
     result.cycles = slots * _params.tBurst;
     result.behindPrefetch = slots > 0 && live_prefetch;

@@ -235,7 +235,7 @@ class Dram
 
     /** Queue-arbitration delay for a request arriving at @p now. */
     ArbDelay arbitrationDelay(Channel &channel, Cycle now,
-                              std::uint8_t core) const;
+                              std::uint8_t core);
 
     /** Bandwidth-window throttle; may defer @p now to a boundary. */
     Cycle applyBandwidthWindow(Cycle now);
@@ -245,6 +245,16 @@ class Dram
     DramStats _stats;
     /** Scratch for makeRoom's drop-candidate list (no per-call heap). */
     std::vector<std::size_t> _dropScratch;
+
+    /** Live queue entries of one competing core (RR arbitration). */
+    struct CoreTally
+    {
+        std::uint8_t core = 0;
+        std::uint64_t count = 0;
+    };
+    /** Scratch for arbitrationDelay's per-core tally; at most one
+     *  entry per queued request, so it never reallocates. */
+    std::vector<CoreTally> _arbScratch;
     std::vector<std::uint64_t> _coreLines;
     std::vector<std::uint64_t> _corePrefetchLines;
     /** Monotonic controller clock for occupancy decisions. */

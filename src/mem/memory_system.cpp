@@ -203,6 +203,14 @@ MemorySystem::replayShadow(const ShadowRecord *record)
     _replayDigest = ShadowRecord::kDigestSeed;
 }
 
+void
+MemorySystem::skipShadow()
+{
+    if (_stats.level[kL1].demandAccesses != 0 || _record || _replay)
+        panic("skipping the shadow needs a fresh, unrecorded hierarchy");
+    _skipShadow = true;
+}
+
 unsigned
 MemorySystem::shadowReplay(Addr line, Pc pc, bool is_store)
 {
@@ -325,10 +333,12 @@ MemorySystem::demandAccess(Addr addr, Pc pc, Cycle when, bool is_store)
     _memClock = std::max(_memClock, when);
 
     // Baseline first: the alternate reality is independent of the
-    // prefetcher-perturbed state.
-    const unsigned shadow_hit_level = _replay
-                                          ? shadowReplay(line, pc, is_store)
-                                          : shadowWalk(line, pc, is_store);
+    // prefetcher-perturbed state. Without one, report a baseline miss
+    // at every level, so no real miss counts as induced.
+    const unsigned shadow_hit_level =
+        _replay       ? shadowReplay(line, pc, is_store)
+        : _skipShadow ? kNumCacheLevels
+                      : shadowWalk(line, pc, is_store);
 
     Cycle now = when;
     for (unsigned lv = 0; lv < kNumCacheLevels; ++lv) {

@@ -14,7 +14,9 @@
  * Because that stream depends only on the workload, a single-core
  * hierarchy can replay the outcomes a baseline pass recorded
  * (shadow_record.hpp) instead of walking the shadow tags; the tag
- * replicas are allocated on the first live walk only.
+ * replicas are allocated on the first live walk only. A run that
+ * reports timing alone skips the shadow world altogether: the shadow
+ * only measures, it never feeds timing.
  */
 
 #ifndef DOL_MEM_MEMORY_SYSTEM_HPP
@@ -223,6 +225,16 @@ class MemorySystem : public DataPort
     void replayShadow(const ShadowRecord *record);
 
     /**
+     * Run without a shadow world: no shadow tags are built or walked,
+     * so shadow misses, induced misses and baseline DRAM lines stay
+     * zero and no shadowMiss() or inducedMiss() event fires. Timing is
+     * identical to a live walk. For runs whose caller reads timing
+     * only (contention solo baselines). Call before the first demand
+     * access, on a hierarchy that neither records nor replays.
+     */
+    void skipShadow();
+
+    /**
      * End a replay: throws std::runtime_error unless this run's demand
      * stream matched the record access for access (count and digest);
      * then settles baselineDramLines() to the recorded total.
@@ -295,6 +307,7 @@ class MemorySystem : public DataPort
 
     ShadowRecord *_record = nullptr;
     const ShadowRecord *_replay = nullptr;
+    bool _skipShadow = false;
     std::uint64_t _replayNext = 0;
     std::uint64_t _replayDigest = ShadowRecord::kDigestSeed;
 

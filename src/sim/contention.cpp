@@ -22,7 +22,9 @@ toMilli(double value)
 /**
  * One core's workload alone on the machine, with the L3 scaled to
  * the mix's core count so solo and mix runs see the same capacity —
- * the slowdown then isolates contention, not cache size.
+ * the slowdown then isolates contention, not cache size. Only the
+ * IPC is read, so the run is timing-only: no shadow world and no
+ * accounting.
  */
 double
 runSolo(const SimConfig &config, const CoreSpec &spec,
@@ -40,6 +42,7 @@ runSolo(const SimConfig &config, const CoreSpec &spec,
         solo.maxInstrs = spec.maxInstrs;
     auto shared = std::make_shared<SharedMemory>(solo.mem, num_cores);
     Simulator sim(solo, *kernel, prefetcher.get(), shared);
+    sim.mem().skipShadow();
     sim.run();
     return sim.ipc();
 }

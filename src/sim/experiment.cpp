@@ -131,8 +131,15 @@ ExperimentRunner::run(const WorkloadSpec &spec,
             : makePrefetcher(prefetcher_name, &image,
                              options.adaptiveCoordinator);
 
+    // The paper's scope and accuracy bookkeeping, owned here because
+    // this run's report is its only reader.
+    PrefetchAccounting acct;
+    acct.setStratifier(base.stratifier.get());
+    if (options.exclude)
+        acct.setExcludeSet(options.exclude);
+
     Simulator sim(_config, *kernel, prefetcher.get());
-    sim.setStratifier(base.stratifier.get());
+    sim.setListener(&acct);
     if (base.shadow)
         sim.mem().replayShadow(base.shadow.get());
     if (options.adaptiveCoordinator) {
@@ -147,8 +154,6 @@ ExperimentRunner::run(const WorkloadSpec &spec,
             });
         }
     }
-    if (options.exclude)
-        sim.accounting().setExcludeSet(options.exclude);
     if (options.forceDest)
         sim.emitter().forceDestLevel(options.forceDest);
     if (options.oracleDest) {
@@ -242,7 +247,6 @@ ExperimentRunner::run(const WorkloadSpec &spec,
                   static_cast<double>(baseline_lines)
             : 1.0;
 
-    const PrefetchAccounting &acct = sim.accounting();
     out.scope = acct.scope();
     for (unsigned f = 0; f < kNumFruit; ++f) {
         out.categories[f] = acct.category(static_cast<Fruit>(f));
@@ -266,7 +270,7 @@ ExperimentRunner::run(const WorkloadSpec &spec,
         out.components.push_back(std::move(comp));
     }
 
-    out.pfp = sim.accounting().takePfp();
+    out.pfp = acct.takePfp();
     return out;
 }
 

@@ -28,7 +28,14 @@ Simulator::Simulator(const SimConfig &config, Kernel &kernel,
         });
     }
 
-    _listeners.add(&_accounting);
+    _mem.setListener(&_fillQueue);
+}
+
+void
+Simulator::setListener(MemListener *listener)
+{
+    _listeners = ListenerChain();
+    _listeners.add(listener);
     _listeners.add(&_fillQueue);
     _mem.setListener(&_listeners);
 }

@@ -1,8 +1,9 @@
 /**
  * @file
  * Single-core simulation driver: wires a workload kernel, the timing
- * core, the memory hierarchy, one prefetcher, and the metrics
- * listeners together, and runs the instruction budget.
+ * core, the memory hierarchy and one prefetcher together, and runs
+ * the instruction budget. A caller that measures attaches its own
+ * metrics listener (setListener); a bare run carries none.
  *
  * Prefetch fill events are queued and drained between instructions
  * (never delivered re-entrantly), so a component chaining prefetches
@@ -30,7 +31,6 @@
 #include "common/ring_buffer.hpp"
 #include "cpu/core.hpp"
 #include "mem/memory_system.hpp"
-#include "metrics/accounting.hpp"
 #include "prefetch/prefetcher.hpp"
 #include "workloads/kernel.hpp"
 
@@ -57,14 +57,15 @@ class Simulator
               Prefetcher *prefetcher,
               std::shared_ptr<SharedMemory> shared = nullptr);
 
-    /** Attach the ground-truth classifier to the accounting. */
-    void
-    setStratifier(const OfflineStratifier *stratifier)
-    {
-        _accounting.setStratifier(stratifier);
-    }
+    /**
+     * Attach @p listener (borrowed; must outlive the sim) to the
+     * memory events, ahead of the simulator's own fill queue; it
+     * replaces any listener attached before. Call before run().
+     * ExperimentRunner attaches its PrefetchAccounting here. Without
+     * a listener, memory events go straight to the fill queue.
+     */
+    void setListener(MemListener *listener);
 
-    PrefetchAccounting &accounting() { return _accounting; }
     PrefetchEmitter &emitter() { return _emitter; }
 
     /**
@@ -190,9 +191,9 @@ class Simulator
     Core _core;
     PrefetchEmitter _emitter;
 
-    PrefetchAccounting _accounting;
     RingBuffer<FillEvent> _fills;
     FillQueue _fillQueue;
+    /** The attached listener, then the fill queue. */
     ListenerChain _listeners;
 
     std::vector<std::string> _componentNames;

@@ -1,6 +1,6 @@
 # Contention sweep smoke, run as a ctest via `cmake -P`.
 #
-# Drives dolsim through the mix x arbitration grid — two named
+# Drives dolsim through the mix x arbitration grid — all four named
 # contention mixes crossed with all three shared-channel arbitration
 # policies — and validates the emitted dol-sweep-v1 document: schema
 # tag, full grid, fairness/attribution counters on every row, and the
@@ -23,7 +23,7 @@ file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
 
 set(sweep_args
-    --mix stream_starves_pchase,temporal_quad
+    --mix stream_starves_pchase,temporal_quad,prefetch_storm_vs_quiet,hetero_quad
     --arbitration demand-first,fifo,rr
     --instrs 8000
     --counters
@@ -55,10 +55,10 @@ if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
     endif()
 
     string(JSON n_results LENGTH "${doc}" results)
-    # 2 mixes x 3 arbitration policies.
-    if(NOT n_results EQUAL 6)
+    # 4 mixes x 3 arbitration policies.
+    if(NOT n_results EQUAL 12)
         message(FATAL_ERROR
-                "contention_sweep: expected 6 results, got ${n_results}")
+                "contention_sweep: expected 12 results, got ${n_results}")
     endif()
 
     set(fifo_delay_rows 0)
@@ -126,6 +126,7 @@ else()
     # Pre-3.19 fallback: substring checks only.
     foreach(needle "\"schema\": \"dol-sweep-v1\""
             "mix:stream_starves_pchase" "mix:temporal_quad"
+            "mix:prefetch_storm_vs_quiet" "mix:hetero_quad"
             ":arb=demand-first" ":arb=fifo" ":arb=rr"
             "fairness.unfairness_milli" "core0.slowdown_milli")
         string(FIND "${doc}" "${needle}" pos)
@@ -137,4 +138,4 @@ else()
 endif()
 
 message(STATUS "contention_sweep: dol-sweep-v1 document valid "
-               "(6 cells, fairness counters present, jobs-invariant)")
+               "(12 cells, fairness counters present, jobs-invariant)")

@@ -177,39 +177,59 @@ TEST_P(GoldenTrace, MatchesCheckedInSnapshot)
 }
 
 /**
- * Multicore golden cell: the stream-starves-pchase mix (two cores,
- * two distinct per-core prefetchers) under FIFO arbitration, seeded
- * exactly like the contention sweep seeds it, snapshotting the merged
- * per-core + fairness + shared-channel counter registry. Pins down
- * the interleaving, the shared-L3 ownership accounting, and the
- * arbitration delay model in one file.
+ * Run one contention mix under @p arbitration, seeded exactly like
+ * the contention sweep seeds it, and compare the merged per-core +
+ * fairness + shared-channel counter registry (solo IPCs and
+ * slowdowns included) against tests/golden/mix.<name>.<arb>.golden.
  */
-TEST(GoldenMix, StreamStarvesPchaseMatchesSnapshot)
+void
+checkMixGolden(const char *mix_name, ArbitrationPolicy arbitration)
 {
-    const char *const kMixName = "stream_starves_pchase";
     constexpr std::uint64_t kMixInstrs = 20000;
-    const ContentionMix &mix = findContentionMix(kMixName);
+    const ContentionMix &mix = findContentionMix(mix_name);
+    const std::string arb = arbitrationName(arbitration);
 
     SimConfig config;
     config.maxInstrs = kMixInstrs;
-    config.mem.dram.arbitration = ArbitrationPolicy::kFifo;
+    config.mem.dram.arbitration = arbitration;
     // Mirror the sweep's per-cell seeding (label, "", variant).
     config.mem.dram.rngSeed = runner::cellSeed(
-        std::string("mix:") + kMixName, "", ":arb=fifo");
+        std::string("mix:") + mix_name, "", ":arb=" + arb);
 
     const ContentionOutcome outcome =
         runContentionScenario(config, mix);
 
     std::string fresh = "dol-golden-v1 mix:";
-    fresh += kMixName;
+    fresh += mix_name;
     fresh += ' ';
     fresh += mixPrefetcherLabel(mix);
     fresh += " instrs=" + std::to_string(kMixInstrs) + "\n";
     fresh += outcome.counters.toText();
 
-    checkGolden(std::string(DOL_GOLDEN_DIR) +
-                    "/mix.stream_starves_pchase.fifo.golden",
-                fresh, std::string("mix:") + kMixName);
+    checkGolden(std::string(DOL_GOLDEN_DIR) + "/mix." + mix_name + "." +
+                    arb + ".golden",
+                fresh, std::string("mix:") + mix_name + " " + arb);
+}
+
+/**
+ * Multicore golden cell: the stream-starves-pchase mix (two cores,
+ * two distinct per-core prefetchers) under FIFO arbitration. Pins
+ * down the interleaving, the shared-L3 ownership accounting, and the
+ * arbitration delay model in one file.
+ */
+TEST(GoldenMix, StreamStarvesPchaseMatchesSnapshot)
+{
+    checkMixGolden("stream_starves_pchase", ArbitrationPolicy::kFifo);
+}
+
+/**
+ * Four cores under per-core round-robin arbitration: the one policy
+ * whose delay depends on how many distinct cores share the channel
+ * queue, with four different prefetchers behind it.
+ */
+TEST(GoldenMix, HeteroQuadRoundRobinMatchesSnapshot)
+{
+    checkMixGolden("hetero_quad", ArbitrationPolicy::kCoreRoundRobin);
 }
 
 /** The fnv64 digest line is the strongest single check: it covers the

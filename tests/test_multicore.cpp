@@ -6,7 +6,8 @@
  * monotonicity, per-core DRAM attribution, and the headline
  * starvation result — per-core round-robin arbitration reduces the
  * pointer-chase core's slowdown relative to FIFO when it co-runs
- * with an aggressive streamer.
+ * with an aggressive streamer. The solo baselines run timing-only;
+ * one test pins them to fully measured runs.
  */
 
 #include <numeric>
@@ -14,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include "check/multicore_check.hpp"
+#include "core/registry.hpp"
+#include "metrics/accounting.hpp"
 #include "sim/contention.hpp"
 #include "sim/multicore.hpp"
 #include "trace/counters.hpp"
@@ -354,6 +357,56 @@ TEST(ContentionScenario, ExportsPerCoreFairnessAndDramScopes)
           "dram.arb_delay_cycles"}) {
         EXPECT_NE(text.find(needle), std::string::npos)
             << "missing counter " << needle;
+    }
+}
+
+/**
+ * The solo baselines skip the shadow world and the accounting. Each
+ * core's solo IPC must still equal, as an exact double, a solo run of
+ * the same core with the shadow tags walked live and a
+ * PrefetchAccounting attached, on every named mix under every
+ * arbitration policy: the skipped measurement never fed timing.
+ */
+TEST(ContentionScenario, SoloIpcEqualsAFullyMeasuredRun)
+{
+    constexpr std::uint64_t kInstrs = 6000;
+    for (const ContentionMix &mix : contentionMixes()) {
+        for (const ArbitrationPolicy arbitration :
+             {ArbitrationPolicy::kDemandFirst, ArbitrationPolicy::kFifo,
+              ArbitrationPolicy::kCoreRoundRobin}) {
+            SCOPED_TRACE(mix.name + " " + arbitrationName(arbitration));
+            const ContentionOutcome outcome =
+                runMix(mix.name, kInstrs, arbitration);
+            ASSERT_EQ(outcome.soloIpc.size(), mix.cores.size());
+
+            for (std::size_t i = 0; i < mix.cores.size(); ++i) {
+                const CoreSpec &spec = mix.cores[i];
+                MemoryImage image;
+                auto kernel = findWorkload(spec.workload).factory(image);
+                auto prefetcher =
+                    spec.prefetcher.empty()
+                        ? nullptr
+                        : makePrefetcher(spec.prefetcher, &image);
+
+                SimConfig config = testConfig(kInstrs);
+                config.mem.dram.arbitration = arbitration;
+                if (spec.maxInstrs)
+                    config.maxInstrs = spec.maxInstrs;
+                auto shared = std::make_shared<SharedMemory>(
+                    config.mem,
+                    static_cast<unsigned>(mix.cores.size()));
+                Simulator sim(config, *kernel, prefetcher.get(), shared);
+                PrefetchAccounting acct;
+                sim.setListener(&acct);
+                sim.run();
+
+                // The reference really measured.
+                EXPECT_GT(sim.mem().stats().level[kL1].shadowMisses, 0u)
+                    << "core " << i;
+                EXPECT_GT(acct.footprintLines(), 0u) << "core " << i;
+                EXPECT_EQ(outcome.soloIpc[i], sim.ipc()) << "core " << i;
+            }
+        }
     }
 }
 
