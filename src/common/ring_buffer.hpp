@@ -50,7 +50,14 @@ class RingBuffer
         return _slots[_head];
     }
 
-    void
+    /**
+     * Always inlined, with the rare grow() kept out of line: a push
+     * that stays a call makes every caller build its element in a
+     * stack temporary and copy it in, and the copy's wide loads cannot
+     * forward from the temporary's narrow stores. Inlined, the caller
+     * writes the element straight into its slot.
+     */
+    [[gnu::always_inline]] void
     push_back(const T &value)
     {
         if (_count == _slots.size())
@@ -106,7 +113,7 @@ class RingBuffer
     }
 
   private:
-    void
+    [[gnu::noinline, gnu::cold]] void
     grow()
     {
         std::vector<T> bigger(_slots.size() * 2);

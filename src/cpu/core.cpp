@@ -12,7 +12,7 @@ Core::step(const Instr &in, DataPort &port)
 
     // Dispatch: bounded by front-end width and by the ROB — instruction
     // i cannot enter until instruction (i - robSize) has retired.
-    const Cycle rob_free = _retireRing[_instrIndex % _params.robSize];
+    const Cycle rob_free = _retireRing[_robSlot];
     Cycle dispatch = std::max(_nextDispatch, rob_free);
     if (dispatch > _nextDispatch) {
         _nextDispatch = dispatch;
@@ -39,15 +39,16 @@ Core::step(const Instr &in, DataPort &port)
       case Op::kStore: {
         Cycle agen = std::max(dispatch, operands) + _params.agenLatency;
         // LSQ: memory op j waits for (j - lsqSize) to complete.
-        agen = std::max(agen, _lsqRing[_memIndex % _params.lsqSize]);
+        agen = std::max(agen, _lsqRing[_lsqSlot]);
         info.issue = agen;
         info.mem = in.isLoad() ? port.demandLoad(in.addr, in.pc, agen)
                                : port.demandStore(in.addr, in.pc, agen);
         // Stores retire once their address and data are known; the
         // cache absorbs the write in the background.
         finish = in.isLoad() ? info.mem.completion : agen + 1;
-        _lsqRing[_memIndex % _params.lsqSize] = info.mem.completion;
-        ++_memIndex;
+        _lsqRing[_lsqSlot] = info.mem.completion;
+        if (++_lsqSlot == _params.lsqSize)
+            _lsqSlot = 0;
         if (in.isLoad())
             ++_stats.loads;
         else
@@ -84,8 +85,9 @@ Core::step(const Instr &in, DataPort &port)
 
     // In-order retirement: the retire cursor never moves backwards.
     _retireCursor = std::max(_retireCursor, finish);
-    _retireRing[_instrIndex % _params.robSize] = _retireCursor;
-    ++_instrIndex;
+    _retireRing[_robSlot] = _retireCursor;
+    if (++_robSlot == _params.robSize)
+        _robSlot = 0;
 
     _maxFinish = std::max(_maxFinish, finish);
     info.finish = finish;

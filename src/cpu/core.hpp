@@ -141,8 +141,11 @@ class Core
     unsigned _laneUsed = 0;
     Cycle _retireCursor = 0;
     Cycle _maxFinish = 0;
-    std::uint64_t _instrIndex = 0;
-    std::uint64_t _memIndex = 0;
+    /** Ring slot of the current instruction (i mod robSize), kept
+     *  as a wrap-around cursor so step() divides nothing. */
+    unsigned _robSlot = 0;
+    /** Ring slot of the current memory op (j mod lsqSize). */
+    unsigned _lsqSlot = 0;
 
     TraceContext *_trace = nullptr;
     CoreStats _stats;

@@ -35,21 +35,29 @@ enum class Op : std::uint8_t
     kReturn, ///< function return (pops the RAS)
 };
 
-/** One retired dynamic instruction. */
+/**
+ * One retired dynamic instruction.
+ *
+ * The four 8-byte fields come first and the eight 1-byte fields pack
+ * after them, so a record is 40 bytes with no interior padding. Every
+ * instruction is written into a kernel queue and copied out again, so
+ * its size is paid per simulated instruction. DOLINS01 files are
+ * written field by field (TraceRecord::pack) and do not depend on
+ * this layout.
+ */
 struct Instr
 {
     Pc pc = 0;
-    Op op = Op::kAlu;
-
     /** Effective byte address (loads and stores). */
     Addr addr = 0;
     /** Value returned by a load / written by a store. */
     std::uint64_t value = 0;
-    /** Access size in bytes (loads and stores). */
-    std::uint8_t size = 8;
-
     /** Branch / call target; meaningful when op is a control op. */
     Pc target = 0;
+
+    Op op = Op::kAlu;
+    /** Access size in bytes (loads and stores). */
+    std::uint8_t size = 8;
     /** Branch direction (branches only). */
     bool taken = false;
     /** Set by the generator when the front end would mispredict. */
@@ -79,6 +87,8 @@ struct Instr
         return op == Op::kBranch && taken && target < pc;
     }
 };
+
+static_assert(sizeof(Instr) == 40, "Instr packs to 40 bytes");
 
 /** Convenience constructors used heavily by generators and tests. */
 inline Instr

@@ -170,8 +170,7 @@ Cache::earliestMshrFree() const
 }
 
 void
-Cache::addMshr(Addr line_addr, Cycle completion, ComponentId comp,
-               bool is_prefetch)
+Cache::addMshr(Addr line_addr, Cycle completion)
 {
     if (_mshrs.empty())
         return;
@@ -183,26 +182,7 @@ Cache::addMshr(Addr line_addr, Cycle completion, ComponentId comp,
         if (entry.completion < slot->completion)
             slot = &entry;
     }
-    *slot = MshrEntry{lineAddr(line_addr), completion, comp,
-                      is_prefetch, false};
-}
-
-bool
-Cache::stealPrefetchMshr(Cycle now)
-{
-    // Reclaim the most speculative victim: the prefetch completing
-    // furthest in the future.
-    MshrEntry *victim = nullptr;
-    for (MshrEntry &entry : _mshrs) {
-        if (entry.isPrefetch && entry.completion > now &&
-            (!victim || entry.completion > victim->completion)) {
-            victim = &entry;
-        }
-    }
-    if (!victim)
-        return false;
-    *victim = MshrEntry{};
-    return true;
+    *slot = MshrEntry{lineAddr(line_addr), completion};
 }
 
 } // namespace dol

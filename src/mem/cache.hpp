@@ -98,9 +98,6 @@ class Cache
     {
         Addr lineAddr = kNoAddr;
         Cycle completion = 0; ///< slot free once completion <= now
-        ComponentId comp = kNoComponent; ///< prefetch that allocated it
-        bool isPrefetch = false;
-        bool used = false; ///< a demand access merged with the fetch
     };
 
     /**
@@ -124,18 +121,12 @@ class Cache
     /** Earliest time an MSHR frees; kNoCycle if none allocated. */
     Cycle earliestMshrFree() const;
 
-    /** Allocate an MSHR for a fetch completing at @p completion. */
-    void addMshr(Addr line_addr, Cycle completion,
-                 ComponentId comp = kNoComponent,
-                 bool is_prefetch = false);
-
     /**
-     * Free a live prefetch-held MSHR so a demand miss can proceed
-     * (demands always outrank prefetches for miss resources).
-     *
-     * @return true when a slot was reclaimed.
+     * Allocate an MSHR for a demand fetch completing at
+     * @p completion. Prefetches never hold MSHRs: they are throttled
+     * at the DRAM read queue instead.
      */
-    bool stealPrefetchMshr(Cycle now);
+    void addMshr(Addr line_addr, Cycle completion);
 
     const Params &params() const { return _params; }
     Cycle latency() const { return _params.latency; }

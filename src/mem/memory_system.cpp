@@ -15,20 +15,11 @@ namespace
 {
 
 /**
- * How long a prefetch may wait for an MSHR before being shed. Demands
- * are insulated from waiting prefetches (they steal slots, and a
- * demand never waits longer than its own refetch), so the queue can
- * be generous; only hopeless backlog is shed.
- */
-constexpr Cycle kPrefetchQueueHorizon = 1000;
-
-/** MSHRs held back for demand misses; prefetches may not take them. */
-constexpr std::uint32_t kDemandReservedMshrs = 4;
-
-/**
- * New prefetches are rejected while their channel's read queue holds
- * this many live requests: keeps burst backlog (and thus every fill's
- * queueing delay) bounded to a few memory round trips.
+ * Prefetches never hold MSHRs, so a demand miss never waits behind
+ * one for a miss slot. Their throttle is the DRAM read queue: new
+ * prefetches are rejected while their channel's queue holds this
+ * many live requests, which keeps burst backlog (and thus every
+ * fill's queueing delay) bounded to a few memory round trips.
  */
 constexpr std::size_t kPrefetchOccupancyLimit = 20;
 
@@ -443,12 +434,10 @@ MemorySystem::demandAccess(Addr addr, Pc pc, Cycle when, bool is_store)
         }
 
         if (cache->mshrFull(std::max(now, _memClock))) {
-            // Demands outrank prefetches: reclaim a prefetch-held
-            // slot before stalling for a free one.
-            if (!cache->stealPrefetchMshr(std::max(now, _memClock))) {
-                ++ls.mshrStalls;
-                now = std::max(now, cache->earliestMshrFree());
-            }
+            // Every live MSHR holds a demand fetch: stall for the
+            // first to free.
+            ++ls.mshrStalls;
+            now = std::max(now, cache->earliestMshrFree());
         }
         now += cache->latency();
     }

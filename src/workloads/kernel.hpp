@@ -88,7 +88,12 @@ class Kernel
     /** Emit one unit of work (an iteration) into the queue. */
     virtual bool generate() = 0;
 
-    void push(const Instr &instr) { _queue.push_back(instr); }
+    /** Inlined like RingBuffer::push_back, for the same reason. */
+    [[gnu::always_inline]] void
+    push(const Instr &instr)
+    {
+        _queue.push_back(instr);
+    }
 
     void clearQueue() { _queue.clear(); }
 

@@ -1,5 +1,7 @@
 #include "workloads/mixed_kernels.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 
 namespace dol
@@ -57,12 +59,21 @@ PhasedKernel::generate()
     if (_phases.empty())
         panic("PhasedKernel without phases");
 
-    Instr instr;
     // Skip exhausted phases (rare: most kernels are infinite).
     for (std::size_t tries = 0; tries <= _phases.size(); ++tries) {
-        if (_phases[_current]->next(instr)) {
-            push(instr);
-            if (++_phaseCount >= _phaseLengths[_current]) {
+        // Forward the phase's ready run, up to the instructions left
+        // in the phase. nextBatch generates only when the phase's own
+        // queue is empty, so generation still never runs ahead of
+        // execution. A zero-length phase forwards one instruction.
+        const std::uint64_t left = std::max<std::uint64_t>(
+            _phaseLengths[_current] - _phaseCount, 1);
+        const std::size_t got = _phases[_current]->nextBatch(
+            _run.data(), std::min<std::uint64_t>(left, _run.size()));
+        if (got > 0) {
+            for (std::size_t i = 0; i < got; ++i)
+                push(_run[i]);
+            _phaseCount += got;
+            if (_phaseCount >= _phaseLengths[_current]) {
                 _phaseCount = 0;
                 _current = (_current + 1) % _phases.size();
             }

@@ -9,6 +9,7 @@
 #ifndef DOL_WORKLOADS_MIXED_KERNELS_HPP
 #define DOL_WORKLOADS_MIXED_KERNELS_HPP
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -50,7 +51,8 @@ class AluKernel : public Kernel
 
 /**
  * Runs its sub-kernels in round-robin phases of a fixed instruction
- * count each.
+ * count each. Each generate() forwards the current phase's whole
+ * ready run (one nextBatch), not one instruction.
  */
 class PhasedKernel : public Kernel
 {
@@ -82,6 +84,10 @@ class PhasedKernel : public Kernel
     std::vector<std::uint64_t> _phaseLengths;
     std::size_t _current = 0;
     std::uint64_t _phaseCount = 0;
+    /** Staging for one forwarded run. Phase iterations are mostly
+     *  15-25 instructions; a longer run is forwarded over several
+     *  calls. */
+    std::array<Instr, 64> _run;
 };
 
 } // namespace dol

@@ -130,22 +130,6 @@ TEST(Cache, MshrFullAndLiveCount)
     EXPECT_EQ(cache.liveMshrCount(201), 2u);
 }
 
-TEST(Cache, StealPrefersMostSpeculativePrefetch)
-{
-    Cache cache(smallCache());
-    cache.addMshr(0x1000, 300, 1, true);
-    cache.addMshr(0x2000, 500, 2, true);
-    cache.addMshr(0x3000, 400, kNoComponent, false); // demand
-    EXPECT_TRUE(cache.stealPrefetchMshr(100));
-    // The completion-500 prefetch went first.
-    EXPECT_EQ(cache.pendingEntry(0x2000, 100), nullptr);
-    ASSERT_NE(cache.pendingEntry(0x1000, 100), nullptr);
-    EXPECT_TRUE(cache.stealPrefetchMshr(100));
-    // Only the demand remains: no more steals.
-    EXPECT_FALSE(cache.stealPrefetchMshr(100));
-    EXPECT_NE(cache.pendingEntry(0x3000, 100), nullptr);
-}
-
 /** LRU order property across associativities. */
 class CacheAssocSweep : public ::testing::TestWithParam<std::uint32_t>
 {

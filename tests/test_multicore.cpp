@@ -410,5 +410,46 @@ TEST(ContentionScenario, SoloIpcEqualsAFullyMeasuredRun)
     }
 }
 
+/**
+ * README's "equal-capacity L3": a solo baseline runs on an L3 scaled
+ * to the mix's core count. At 100k instructions temporal_quad's
+ * markovmix core outgrows a one-core L3, so its solo IPC tells the
+ * scaled L3 from an unscaled one; each solo must match a run on the
+ * scaled L3 exactly.
+ */
+TEST(ContentionScenario, SoloRunsOnTheMixScaledL3)
+{
+    constexpr std::uint64_t kInstrs = 100000;
+    const ContentionMix &mix = findContentionMix("temporal_quad");
+    const auto num_cores = static_cast<unsigned>(mix.cores.size());
+    const ContentionOutcome outcome =
+        runMix(mix.name, kInstrs, ArbitrationPolicy::kDemandFirst);
+    ASSERT_EQ(outcome.soloIpc.size(), mix.cores.size());
+
+    const auto soloOn = [&](const CoreSpec &spec, unsigned l3_cores) {
+        MemoryImage image;
+        auto kernel = findWorkload(spec.workload).factory(image);
+        auto prefetcher = makePrefetcher(spec.prefetcher, &image);
+        const SimConfig config = testConfig(kInstrs);
+        auto shared =
+            std::make_shared<SharedMemory>(config.mem, l3_cores);
+        Simulator sim(config, *kernel, prefetcher.get(), shared);
+        sim.mem().skipShadow();
+        sim.run();
+        return sim.ipc();
+    };
+
+    std::size_t binding = 0;
+    for (std::size_t i = 0; i < mix.cores.size(); ++i) {
+        const double scaled = soloOn(mix.cores[i], num_cores);
+        EXPECT_EQ(outcome.soloIpc[i], scaled) << "core " << i;
+        if (soloOn(mix.cores[i], 1) != scaled)
+            ++binding;
+    }
+    // The budget must make the L3 bind for at least one core, or the
+    // check above could not tell the two capacities apart.
+    EXPECT_GT(binding, 0u);
+}
+
 } // namespace
 } // namespace dol

@@ -8,11 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <functional>
 #include <fstream>
 #include <iterator>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "runner/checkpoint.hpp"
@@ -35,6 +38,25 @@ sameInstr(const Instr &a, const Instr &b)
     return a.pc == b.pc && a.op == b.op && a.addr == b.addr &&
            a.value == b.value && a.dst == b.dst && a.src1 == b.src1 &&
            a.target == b.target && a.taken == b.taken;
+}
+
+/** Every field equal, not just the ones the generators vary. */
+bool
+identicalInstr(const Instr &a, const Instr &b)
+{
+    return sameInstr(a, b) && a.size == b.size &&
+           a.mispredicted == b.mispredicted && a.src2 == b.src2 &&
+           a.latency == b.latency;
+}
+
+/** A file name unique to the running test, in the test temp dir. */
+std::string
+testPath(const std::string &suffix)
+{
+    const auto *info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return ::testing::TempDir() + "dol_" + info->test_suite_name() +
+           "_" + info->name() + suffix;
 }
 
 /** Determinism is required by the offline stratifier. */
@@ -223,9 +245,146 @@ TEST(PhasedKernel, RespectsPerPhaseLengths)
                 0.5);
 }
 
+/**
+ * PhasedKernel as it once was: one next() per instruction, a phase
+ * counter, and a skip over exhausted phases. Returns up to @p limit
+ * instructions, fewer only when every phase has run out.
+ */
+std::vector<Instr>
+onePerCallReference(std::vector<std::unique_ptr<Kernel>> &phases,
+                    const std::vector<std::uint64_t> &lengths,
+                    std::size_t limit)
+{
+    std::vector<Instr> out;
+    std::size_t current = 0;
+    std::uint64_t count = 0;
+    Instr instr;
+    while (out.size() < limit) {
+        bool produced = false;
+        for (std::size_t tries = 0; tries <= phases.size(); ++tries) {
+            if (phases[current]->next(instr)) {
+                out.push_back(instr);
+                if (++count >= lengths[current]) {
+                    count = 0;
+                    current = (current + 1) % phases.size();
+                }
+                produced = true;
+                break;
+            }
+            current = (current + 1) % phases.size();
+            count = 0;
+        }
+        if (!produced)
+            break;
+    }
+    return out;
+}
+
+TEST(PhasedKernel, ForwardedRunsMatchOnePerCallReference)
+{
+    static_assert(std::is_trivially_copyable_v<Instr>,
+                  "the queues copy Instr in bulk");
+    // Two finite DOLINS01 traces: phases that run out.
+    const std::string long_trace = testPath("_long.bin");
+    const std::string short_trace = testPath("_short.bin");
+    {
+        MemoryImage image;
+        AluKernel source(image, {.seed = 9});
+        ASSERT_EQ(recordTrace(source, long_trace, 700), 700u);
+        ASSERT_EQ(recordTrace(source, short_trace, 130), 130u);
+    }
+
+    // Each case: the phase kernels (built into the given image),
+    // their lengths, and how many instructions the kernel yields in
+    // all (kLimit when it does not run out). No length is a multiple
+    // of an iteration: 15 instructions for the default AluKernel and
+    // RandomKernel, 303 (more than one staged run) for the wide one.
+    constexpr std::size_t kLimit = 5000;
+    struct Case
+    {
+        const char *name;
+        std::vector<std::uint64_t> lengths;
+        std::size_t total;
+        std::function<std::vector<std::unique_ptr<Kernel>>(
+            MemoryImage &)>
+            build;
+    };
+    const std::vector<Case> cases = {
+        {"alu+random+finite trace+wide alu", {301, 97, 250, 700},
+         kLimit,
+         [&](MemoryImage &image) {
+             std::vector<std::unique_ptr<Kernel>> k;
+             k.push_back(std::make_unique<AluKernel>(
+                 image, AluKernel::Params{.seed = 1}));
+             k.push_back(std::make_unique<RandomKernel>(
+                 image, RandomKernel::Params{.seed = 2}));
+             k.push_back(std::make_unique<TraceKernel>(
+                 image, long_trace, /*loop=*/false));
+             k.push_back(std::make_unique<AluKernel>(
+                 image,
+                 AluKernel::Params{.aluPerIter = 300, .seed = 5}));
+             return k;
+         }},
+        {"zero-length phases", {0, 0}, kLimit,
+         [&](MemoryImage &image) {
+             std::vector<std::unique_ptr<Kernel>> k;
+             k.push_back(std::make_unique<AluKernel>(
+                 image, AluKernel::Params{.seed = 3}));
+             k.push_back(std::make_unique<RandomKernel>(
+                 image, RandomKernel::Params{.seed = 4}));
+             return k;
+         }},
+        {"every phase runs out", {41, 1000}, 830,
+         [&](MemoryImage &image) {
+             std::vector<std::unique_ptr<Kernel>> k;
+             k.push_back(std::make_unique<TraceKernel>(
+                 image, short_trace, /*loop=*/false));
+             k.push_back(std::make_unique<TraceKernel>(
+                 image, long_trace, /*loop=*/false));
+             return k;
+         }},
+    };
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        MemoryImage ref_image;
+        auto ref_phases = c.build(ref_image);
+        const std::vector<Instr> expected =
+            onePerCallReference(ref_phases, c.lengths, kLimit);
+
+        // Drain in odd-sized batches so runs also split at the
+        // consumer's end.
+        MemoryImage image;
+        PhasedKernel phased("test", image, 0);
+        auto phases = c.build(image);
+        for (std::size_t i = 0; i < phases.size(); ++i)
+            phased.addPhase(std::move(phases[i]), c.lengths[i]);
+        std::vector<Instr> got;
+        std::array<Instr, 37> batch;
+        while (got.size() < kLimit) {
+            const std::size_t n = phased.nextBatch(
+                batch.data(), std::min(batch.size(), kLimit - got.size()));
+            if (n == 0)
+                break;
+            got.insert(got.end(), batch.begin(), batch.begin() + n);
+        }
+
+        ASSERT_EQ(expected.size(), c.total);
+        ASSERT_EQ(got.size(), expected.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+            ASSERT_TRUE(identicalInstr(got[i], expected[i])) << "at " << i;
+        if (c.total < kLimit) {
+            // An exhausted kernel stays exhausted.
+            EXPECT_EQ(phased.nextBatch(batch.data(), batch.size()), 0u);
+        }
+    }
+    std::remove(long_trace.c_str());
+    std::remove(short_trace.c_str());
+}
+
 TEST(TraceFile, RecordAndReplayRoundTrips)
 {
-    const std::string path = "/tmp/dol_trace_test.bin";
+    const std::string path = testPath(".bin");
     MemoryImage image;
     const WorkloadSpec &spec = findWorkload("mcf.syn");
     auto kernel = spec.factory(image);
@@ -252,7 +411,7 @@ TEST(TraceFile, RecordAndReplayRoundTrips)
 
 TEST(TraceFile, LoopingReplayWraps)
 {
-    const std::string path = "/tmp/dol_trace_loop.bin";
+    const std::string path = testPath(".bin");
     MemoryImage image;
     AluKernel source(image, {.seed = 3});
     recordTrace(source, path, 100);
@@ -271,13 +430,14 @@ TEST(TraceFile, LoopingReplayWraps)
 
 /**
  * One small file of each on-disk format: a DOLINS01 instruction
- * trace, a DOLTRC01 event trace, and a DOLCKPT1 journal.
+ * trace, a DOLTRC01 event trace, and a DOLCKPT1 journal. The paths are
+ * per test, since ctest runs tests as parallel processes.
  */
 struct FormatFiles
 {
-    std::string instr = "/tmp/dol_format_instr.bin";
-    std::string event = "/tmp/dol_format_event.trc";
-    std::string journal = "/tmp/dol_format_journal.ckpt";
+    std::string instr = testPath("_instr.bin");
+    std::string event = testPath("_event.trc");
+    std::string journal = testPath("_journal.ckpt");
 
     FormatFiles()
     {
